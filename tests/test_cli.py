@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -195,3 +196,38 @@ def test_parser_defaults():
     assert args.convention == "all"
     assert args.format == "json"
     assert args.q is None and args.out is None
+
+
+# sha256 of each report, recorded at version 0.1.0.  A refactor must leave
+# every one unchanged; a deliberate change to report bytes updates them.
+REPORT_DIGESTS = {
+    "numbers --nmax 12":
+        "fad5399bb02060f800f86853aa238541a1e9dc053cc4af76cccfc0d68431957e",
+    "numbers --nmax 12 --format csv":
+        "d622fe543d795994298438a8c7c5c3a379a4ea6b44070f9494b25a554a0ad1fd",
+    "qtable --nmax 4 --kmax 3":
+        "72248d15d654da8cb7c815de3738aa99ad10e99560d1a106fb47cd5f2d923771",
+    "qtable --nmax 4 --kmax 3 --format csv":
+        "d19fa98463dc92a5bc8ca1cd9b0829a7a0502a43058bbb5507fca75759007ca8",
+    "qtable --nmax 4 --kmax 3 --q 1/4 --format csv":
+        "ea07c244840aaf75feeb48d26a258f8a0c0ba97956755534f230c542bd1e61ed",
+    "qtable --nmax 4 --kmax 3 --q 1/3":
+        "0f675e9c4ae1c1733574caeecec137733e53a83f15603837cbaa11b03d53bf17",
+    "limits --nmax 3 --kmax 3":
+        "28098adfbca1036f1ebbabb348fee5c784f1ccc14d3c90f6050294f790bf3f32",
+    "limits --nmax 3 --kmax 3 --format csv":
+        "517f3affa7da17769f2833c9eb148d628f4eee6504f66b15f4a9f7ee7a1df926",
+    "verify --nmax 2 --kmax 2":
+        "5c6bb97f5cd724c2bce688e0086b91fe4549a22a4b0e009efb6867480943f425",
+    "verify --nmax 2 --kmax 2 --format csv":
+        "e38db87b6ae6dc3676db8d32456bac1ca67a6aab804d911aac69493a848682d6",
+    "verify --nmax 2 --kmax 2 --convention q2 --format csv":
+        "b3d30a32394a805ee5d300513d0e5c19a5aa93eb0ef89f8d7dcc90326b2220a5",
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_DIGESTS))
+def test_report_bytes_locked(capsys, command):
+    code, out, _ = run_cli(capsys, command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == REPORT_DIGESTS[command]

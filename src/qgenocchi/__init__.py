@@ -9,6 +9,8 @@ VerificationRecord whose witness, when present, is the exact difference
 between the two sides.
 """
 
+__version__ = "0.1.0"
+
 from .classical import (
     NumberTable,
     alt_power_sum,
@@ -60,8 +62,6 @@ from .qcore import (
 from .ratfunc import PoleError, RatFunc, evaluate_at_q, monomial_q
 from .records import FAIL, PASS, VerificationRecord, record_from_difference
 from .series import Series, exp_t, exp_xt
-
-__version__ = "0.1.0"
 
 __all__ = [
     "CONVENTIONS",

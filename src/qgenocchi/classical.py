@@ -120,16 +120,6 @@ def genocchi_poly(n: int, x: Fraction) -> Fraction:
     return gf.factorial_coeff(n)
 
 
-def genocchi_poly_binomial(n: int, x: Fraction) -> Fraction:
-    """G_n(x) as sum(binom(n,k) * G_k * x**(n-k)); the independent route."""
-    _require(n >= 0, "n must be >= 0")
-    x = Fraction(x)
-    table = genocchi_numbers(n)
-    return sum(
-        (comb(n, k) * table[k] * x ** (n - k) for k in range(n + 1)), Fraction(0)
-    )
-
-
 def euler_poly(k: int, x: Fraction) -> Fraction:
     """Euler polynomial E_k(x) from 2*exp(x*t)/(exp(t)+1)."""
     _require(k >= 0, "k must be >= 0")

@@ -20,9 +20,11 @@ import io
 import json
 import random
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import __version__
 from .classical import (
     alt_power_sum,
     alt_power_sum_via_euler,
@@ -35,6 +37,7 @@ from .classical import (
     power_sum,
 )
 from .engine import (
+    CONVENTIONS,
     Convention,
     ExpTerm,
     check_alt_qsum,
@@ -62,8 +65,6 @@ from .records import (
     ratfunc_str,
     record_from_difference,
 )
-
-__version__ = "0.1.0"
 
 # Which identities gate the exit code.  This split is configuration data:
 # promoting a corrected closed form to hard is an edit here, not in the
@@ -135,22 +136,22 @@ def _eval_detail(value: RatFunc, q0: Fraction) -> str:
         return "REQUIRES-SQUARE-Q"
 
 
-def _qtable_records(cfg: RunConfig) -> list[VerificationRecord]:
-    out = []
+def _qtable_cells(cfg: RunConfig) -> Iterator[tuple[str, dict, RatFunc]]:
     for n in range(cfg.n_max + 1):
         for k in range(n + 1):
-            value = q_binomial(n, k)
-            details = {"value": ratfunc_str(value)}
-            if cfg.q_eval is not None:
-                details["value_at_q"] = _eval_detail(value, cfg.q_eval)
-            out.append(_value_record("q_binomial", {"k": k, "n": n}, details))
+            yield "q_binomial", {"k": k, "n": n}, q_binomial(n, k)
     for m in range(1, cfg.n_max + 1):
         for n in range(1, cfg.k_max + 1):
-            value = q_power_sum(m, n)
-            details = {"value": ratfunc_str(value)}
-            if cfg.q_eval is not None:
-                details["value_at_q"] = _eval_detail(value, cfg.q_eval)
-            out.append(_value_record("q_power_sum", {"m": m, "n": n}, details))
+            yield "q_power_sum", {"m": m, "n": n}, q_power_sum(m, n)
+
+
+def _qtable_records(cfg: RunConfig) -> list[VerificationRecord]:
+    out = []
+    for identity, params, value in _qtable_cells(cfg):
+        details = {"value": ratfunc_str(value)}
+        if cfg.q_eval is not None:
+            details["value_at_q"] = _eval_detail(value, cfg.q_eval)
+        out.append(_value_record(identity, params, details))
     return out
 
 
@@ -275,33 +276,18 @@ _CSV_COLUMNS = {
 }
 
 
-def _csv_row(command: str, rec: dict) -> list:
-    params = rec["params"]
-    details = rec.get("details", {})
-    if command == "numbers":
-        return [rec["identity"], params["n"], details["value"]]
-    if command == "qtable":
-        return [
-            rec["identity"],
-            _params_compact(params),
-            details["value"],
-            details.get("value_at_q", ""),
-        ]
-    if command == "limits":
-        return [
-            rec["identity"],
-            _params_compact(params),
-            details["limit"],
-            details["classical"],
-            rec["status"],
-        ]
-    return [
-        rec["identity"],
-        _params_compact(params),
-        rec["convention"] or "",
-        rec["status"],
-        rec.get("witness", ""),
-    ]
+_CSV_CELLS = {
+    "identity": lambda rec: rec["identity"],
+    "index": lambda rec: rec["params"]["n"],
+    "params": lambda rec: _params_compact(rec["params"]),
+    "value": lambda rec: rec["details"]["value"],
+    "value_at_q": lambda rec: rec["details"]["value_at_q"],
+    "limit": lambda rec: rec["details"]["limit"],
+    "classical": lambda rec: rec["details"]["classical"],
+    "convention": lambda rec: rec["convention"] or "",
+    "status": lambda rec: rec["status"],
+    "witness": lambda rec: rec.get("witness", ""),
+}
 
 
 def render_report(report: dict, fmt: str) -> str:
@@ -315,7 +301,7 @@ def render_report(report: dict, fmt: str) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for rec in report["records"]:
-        writer.writerow(_csv_row(command, rec)[: len(columns)])
+        writer.writerow([_CSV_CELLS[c](rec) for c in columns])
     return buf.getvalue()
 
 
@@ -365,11 +351,10 @@ def config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) 
         parser.error("--nmax and --kmax must be >= 1")
     if args.q is not None and not (0 < args.q < 1):
         parser.error("--q must lie strictly between 0 and 1")
-    conventions = {
-        "q": (Convention.Q,),
-        "q2": (Convention.Q2,),
-        "all": (Convention.Q, Convention.Q2),
-    }[args.convention]
+    if args.convention == "all":
+        conventions = CONVENTIONS
+    else:
+        conventions = (Convention.parse(args.convention),)
     return RunConfig(
         command=args.command,
         n_max=args.nmax,

@@ -35,9 +35,9 @@ from typing import Iterable, Literal
 
 from .classical import order_r_genocchi
 from .poly import Poly
-from .qcore import PoleReport, limit_at_one, q_integer
+from .qcore import limit_at_one, q_integer
 from .ratfunc import R_ZERO, RatFunc, monomial_q
-from .records import FAIL, VerificationRecord, frac_str, record_from_difference
+from .records import VerificationRecord, limit_record, record_from_difference
 
 TWO_Q = Poly([1, 0, 1])  # [2]_q = 1 + q = 1 + x**2
 
@@ -285,25 +285,6 @@ def check_closed_form_g_shift(n: int, k: int, conv: Convention) -> VerificationR
     )
 
 
-def _limit_record(
-    identity: str,
-    n: int,
-    k: int,
-    conv: Convention,
-    limit: Fraction | PoleReport,
-    classical: Fraction,
-) -> VerificationRecord:
-    details = {"limit": str(limit) if isinstance(limit, PoleReport) else frac_str(limit),
-               "classical": frac_str(classical)}
-    if isinstance(limit, PoleReport):
-        return VerificationRecord(
-            identity, {"n": n, "k": k}, conv.value, FAIL, None, details
-        )
-    return record_from_difference(
-        identity, {"n": n, "k": k}, limit - classical, conv.value, details
-    )
-
-
 def classical_limit_check(
     n: int, k: int, conv: Convention
 ) -> tuple[VerificationRecord, VerificationRecord]:
@@ -316,11 +297,14 @@ def classical_limit_check(
     report-style equality records carrying the exact values (or pole
     flags) in details.
     """
+    params = {"n": n, "k": k}
     lim_g = limit_at_one(q_genocchi_number(n, k, conv).value)
     number = order_r_genocchi(2, n)[n]
-    rec1 = _limit_record("classical_limit_g", n, k, conv, lim_g, number)
+    rec1 = limit_record("classical_limit_g", params, lim_g, number, conv.value)
 
     lim_shift = limit_at_one(q_genocchi_number_shifted(n, k, conv).value)
     poly_at_k = order_r_genocchi(2, n, Fraction(k))[n]
-    rec2 = _limit_record("classical_limit_g_shift", n, k, conv, lim_shift, poly_at_k)
+    rec2 = limit_record(
+        "classical_limit_g_shift", params, lim_shift, poly_at_k, conv.value
+    )
     return rec1, rec2

@@ -16,7 +16,7 @@ from math import comb
 from .classical import power_sum
 from .poly import ONE, Poly
 from .ratfunc import R_ONE, R_ZERO, RatFunc, monomial_q
-from .records import FAIL, VerificationRecord, frac_str, record_from_difference
+from .records import VerificationRecord, limit_record, record_from_difference
 
 
 @dataclass(frozen=True)
@@ -125,26 +125,14 @@ def garrett_hummel_check(n: int) -> VerificationRecord:
     return record_from_difference("garrett_hummel", {"n": n}, lhs - rhs)
 
 
-def _limit_vs_classical(
-    identity: str, params: dict, value: RatFunc, classical: Fraction
-) -> VerificationRecord:
-    limit = limit_at_one(value)
-    if isinstance(limit, PoleReport):
-        details = {"limit": str(limit), "classical": frac_str(classical)}
-        return VerificationRecord(identity, params, None, FAIL, None, details)
-    details = {"limit": frac_str(limit), "classical": frac_str(classical)}
-    return record_from_difference(identity, params, limit - classical, None, details)
-
-
 def q_power_sum_limit_check(m: int, n: int) -> VerificationRecord:
     """q -> 1 limit of the q-power sum against the integer power sum."""
-    return _limit_vs_classical(
-        "q_power_sum_limit", {"m": m, "n": n}, q_power_sum(m, n), power_sum(m, n)
-    )
+    limit = limit_at_one(q_power_sum(m, n))
+    return limit_record("q_power_sum_limit", {"m": m, "n": n}, limit, power_sum(m, n))
 
 
 def q_binomial_limit_check(n: int, k: int) -> VerificationRecord:
     """q -> 1 limit of the Gaussian binomial against the binomial coefficient."""
-    return _limit_vs_classical(
-        "q_binomial_limit", {"k": k, "n": n}, q_binomial(n, k), Fraction(comb(n, k))
-    )
+    limit = limit_at_one(q_binomial(n, k))
+    classical = Fraction(comb(n, k))
+    return limit_record("q_binomial_limit", {"k": k, "n": n}, limit, classical)

@@ -222,14 +222,7 @@ def _eval_even_part(p: Poly, q0: Fraction) -> Fraction | None:
 
     Returns None when p has a nonzero odd-power coefficient.
     """
-    acc = Fraction(0)
-    for i, c in enumerate(p.coeffs):
-        if not c:
-            continue
-        if i % 2 == 1:
-            return None
-        acc += c * q0 ** (i // 2)
-    return acc
+    return None if any(p.coeffs[1::2]) else Poly(p.coeffs[::2])(q0)
 
 
 def _exact_sqrt(q0: Fraction) -> Fraction | None:

@@ -40,14 +40,6 @@ def ratfunc_str(f: RatFunc) -> str:
     return f"num={_coeff_list(f.num)};den={_coeff_list(f.den)}"
 
 
-def value_str(value) -> str:
-    if isinstance(value, RatFunc):
-        return ratfunc_str(value)
-    if isinstance(value, (Fraction, int)):
-        return frac_str(value)
-    return str(value)
-
-
 @dataclass(frozen=True)
 class VerificationRecord:
     """Outcome of one exact identity check."""
@@ -77,8 +69,10 @@ class VerificationRecord:
             "convention": self.convention,
             "status": self.status,
         }
-        if self.witness is not None:
-            out["witness"] = value_str(self.witness)
+        if isinstance(self.witness, RatFunc):
+            out["witness"] = ratfunc_str(self.witness)
+        elif self.witness is not None:
+            out["witness"] = frac_str(self.witness)
         if self.details:
             out["details"] = {k: self.details[k] for k in sorted(self.details)}
         return out
@@ -99,3 +93,23 @@ def record_from_difference(
     return VerificationRecord(
         identity, dict(params), convention, FAIL, difference, dict(details or {})
     )
+
+
+def limit_record(
+    identity: str,
+    params: dict,
+    limit: object,
+    classical: Fraction,
+    convention: str | None = None,
+) -> VerificationRecord:
+    """A q -> 1 limit against its classical value.
+
+    limit is a Fraction, or a pole flag (qcore.PoleReport) whose str() is
+    reported; a pole is a FAIL without a witness.
+    """
+    if isinstance(limit, Fraction):
+        details = {"limit": frac_str(limit), "classical": frac_str(classical)}
+        difference = limit - classical
+        return record_from_difference(identity, params, difference, convention, details)
+    details = {"limit": str(limit), "classical": frac_str(classical)}
+    return VerificationRecord(identity, dict(params), convention, FAIL, None, details)

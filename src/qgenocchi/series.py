@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class Series:
@@ -133,7 +133,3 @@ def exp_xt(x, order: int) -> Series:
 def exp_t(order: int) -> Series:
     """Series of exp(t) over Fraction."""
     return exp_xt(Fraction(1), order)
-
-
-def from_sequence(values: Sequence, order: int) -> Series:
-    return Series(values, order)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -15,7 +16,6 @@ from qgenocchi.classical import (
     faulhaber_sum,
     genocchi_numbers,
     genocchi_poly,
-    genocchi_poly_binomial,
     genocchi_relations_check,
     order_r_genocchi,
     power_sum,
@@ -38,6 +38,14 @@ def akiyama_tanigawa(n_max):
 
 
 AT_BERNOULLI = akiyama_tanigawa(40)
+
+
+def genocchi_poly_binomial(n, x):
+    """G_n(x) as sum(binom(n,k) * G_k * x**(n-k)); the independent route."""
+    table = genocchi_numbers(n)
+    return sum(
+        (comb(n, k) * table[k] * x ** (n - k) for k in range(n + 1)), Fraction(0)
+    )
 
 
 def euler_at_zero_oracle(n):

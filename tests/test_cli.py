@@ -1,8 +1,10 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
+import qgenocchi
 from qgenocchi.cli import (
     HARD_IDENTITIES,
     SHIFT_LAW_MAX_SHIFT,
@@ -114,12 +116,14 @@ def test_verify_summary_counts_records(capsys):
 
 
 def test_verify_convention_filter(capsys):
-    _, out, _ = run_cli(capsys, ["verify", "--nmax", "2", "--kmax", "2", "--convention", "q"])
-    report = json.loads(out)
-    conventions = {r["convention"] for r in report["records"]}
-    assert "q2" not in conventions
-    assert "q" in conventions
-    assert report["config"]["conventions"] == ["q"]
+    for chosen, other in (("q", "q2"), ("q2", "q")):
+        argv = ["verify", "--nmax", "2", "--kmax", "2", "--convention", chosen]
+        _, out, _ = run_cli(capsys, argv)
+        report = json.loads(out)
+        conventions = {r["convention"] for r in report["records"]}
+        assert other not in conventions
+        assert chosen in conventions
+        assert report["config"]["conventions"] == [chosen]
 
 
 def test_verify_hard_failures_gate_exit_code():
@@ -188,6 +192,13 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "0.1.0" in capsys.readouterr().out
+
+
+def test_pyproject_reads_package_version():
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    root = Path(__file__).resolve().parent.parent
+    config = pyprojecttoml.read_configuration(root / "pyproject.toml", expand=True)
+    assert config["project"]["version"] == "0.1.0" == qgenocchi.__version__
 
 
 def test_parser_defaults():

@@ -18,6 +18,7 @@ from qgenocchi.qcore import (
     warnaar_check,
 )
 from qgenocchi.ratfunc import R_ONE, R_ZERO, RatFunc, monomial_q
+from qgenocchi.records import FAIL, limit_record
 
 
 def test_q_integer_small():
@@ -147,6 +148,20 @@ def test_limit_checks_pass():
     rec = q_binomial_limit_check(6, 3)
     assert rec.passed
     assert rec.details["limit"] == "20"
+
+
+def test_limit_record_branches():
+    params = {"n": 2, "k": 1}
+    rec = limit_record("some_limit", params, PoleReport(2), Fraction(3), "q")
+    assert rec.status == FAIL and rec.witness is None
+    assert rec.details == {"limit": "POLE(2)", "classical": "3"}
+    assert (rec.params, rec.convention) == (params, "q")
+    rec = limit_record("some_limit", params, Fraction(3), Fraction(3))
+    assert rec.passed and rec.witness is None and rec.convention is None
+    assert rec.details == {"limit": "3", "classical": "3"}
+    rec = limit_record("some_limit", params, Fraction(1, 2), Fraction(3))
+    assert rec.status == FAIL and rec.witness == Fraction(-5, 2)
+    assert rec.details == {"limit": "1/2", "classical": "3"}
 
 
 @given(st.integers(min_value=-12, max_value=12), st.integers(min_value=1, max_value=3))

@@ -24,8 +24,6 @@ from math import comb, factorial
 from .records import VerificationRecord, frac_str, record_from_difference
 from .series import Series, exp_xt
 
-_GUARD_TERMS = 2  # extra series coefficients beyond the requested index
-
 
 class NumberTable:
     """An immutable run of exactly computed numbers, indexed from 0."""
@@ -71,8 +69,7 @@ def _euler_gf(order: int) -> Series:
 def bernoulli_numbers(n_max: int) -> NumberTable:
     """B_0 .. B_n_max from the reciprocal of (exp(t)-1)/t; B_1 = -1/2."""
     _require(n_max >= 0, "n_max must be >= 0")
-    order = n_max + _GUARD_TERMS
-    base = Series([Fraction(1, factorial(m + 1)) for m in range(order + 1)], order)
+    base = Series([Fraction(1, factorial(m + 1)) for m in range(n_max + 1)], n_max)
     inv = base.recip()
     values = tuple(inv.factorial_coeff(m) for m in range(n_max + 1))
     return NumberTable("B", values)
@@ -82,7 +79,7 @@ def bernoulli_numbers(n_max: int) -> NumberTable:
 def euler_numbers(n_max: int) -> NumberTable:
     """E_0 .. E_n_max from 2/(exp(t)+1); E_1 = -1/2."""
     _require(n_max >= 0, "n_max must be >= 0")
-    gf = _euler_gf(n_max + _GUARD_TERMS)
+    gf = _euler_gf(n_max)
     values = tuple(gf.factorial_coeff(m) for m in range(n_max + 1))
     return NumberTable("E", values)
 
@@ -91,7 +88,7 @@ def euler_numbers(n_max: int) -> NumberTable:
 def genocchi_numbers(n_max: int) -> NumberTable:
     """G_0 .. G_n_max from 2t/(exp(t)+1); G_1 = 1, odd values above vanish."""
     _require(n_max >= 0, "n_max must be >= 0")
-    gf = _euler_gf(n_max + _GUARD_TERMS).shift_up()
+    gf = _euler_gf(n_max).shift_up()
     values = tuple(gf.factorial_coeff(m) for m in range(n_max + 1))
     return NumberTable("G", values)
 
@@ -101,12 +98,7 @@ def order_r_genocchi(r: int, n_max: int, x: Fraction = Fraction(0)) -> NumberTab
     """G^(r)_0(x) .. G^(r)_n_max(x) from 2*(1/(1+exp(t)))**r * exp(x*t)."""
     _require(r >= 1, "order r must be >= 1")
     _require(n_max >= 0, "n_max must be >= 0")
-    x = Fraction(x)
-    order = n_max + _GUARD_TERMS
-    one_plus_exp = Series(
-        [Fraction(2)] + [Fraction(1, factorial(m)) for m in range(1, order + 1)], order
-    )
-    gf = one_plus_exp.recip() ** r * exp_xt(x, order) * Fraction(2)
+    gf = (_euler_gf(n_max) * Fraction(1, 2)) ** r * exp_xt(Fraction(x), n_max) * 2
     values = tuple(gf.factorial_coeff(m) for m in range(n_max + 1))
     return NumberTable(f"G^({r})", values)
 
@@ -114,18 +106,14 @@ def order_r_genocchi(r: int, n_max: int, x: Fraction = Fraction(0)) -> NumberTab
 def genocchi_poly(n: int, x: Fraction) -> Fraction:
     """Genocchi polynomial G_n(x) from the series 2t/(exp(t)+1) * exp(x*t)."""
     _require(n >= 0, "n must be >= 0")
-    x = Fraction(x)
-    order = n + _GUARD_TERMS
-    gf = (_euler_gf(order) * exp_xt(x, order)).shift_up()
+    gf = (_euler_gf(n) * exp_xt(Fraction(x), n)).shift_up()
     return gf.factorial_coeff(n)
 
 
 def euler_poly(k: int, x: Fraction) -> Fraction:
     """Euler polynomial E_k(x) from 2*exp(x*t)/(exp(t)+1)."""
     _require(k >= 0, "k must be >= 0")
-    x = Fraction(x)
-    order = k + _GUARD_TERMS
-    gf = _euler_gf(order) * exp_xt(x, order)
+    gf = _euler_gf(k) * exp_xt(Fraction(x), k)
     return gf.factorial_coeff(k)
 
 

@@ -7,9 +7,11 @@ the full identity grid.  Reports are emitted as JSON or CSV, to stdout or
 a file, and identical configurations always produce byte-identical output.
 
 Exit codes: 0 when every hard identity in the run passed, 1 when any hard
-identity failed, 2 for bad flags, 3 for an I/O failure while writing the
-report.  Report-only identities (the printed closed forms and the
-classical-limit comparisons) never affect the exit code.
+identity failed, 2 for bad flags or a bad QGL_MAX_DEGREE, 3 for an I/O
+failure while writing the report, 4 when a polynomial outgrew the
+QGL_MAX_DEGREE cap during the run.  Report-only identities (the printed
+closed forms and the classical-limit comparisons) never affect the exit
+code.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .engine import (
     partial_sum,
     shift_terms,
 )
-from .poly import Poly
+from .poly import DegreeLimitError, Poly, max_degree
 from .qcore import (
     garrett_hummel_check,
     q_binomial,
@@ -367,10 +369,19 @@ def config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) 
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        max_degree()
+    except ValueError as exc:
+        print(f"qgenocchi: {exc}", file=sys.stderr)
+        return 2
     parser = build_parser()
     args = parser.parse_args(argv)
     cfg = config_from_args(args, parser)
-    report = build_report(cfg)
+    try:
+        report = build_report(cfg)
+    except DegreeLimitError as exc:
+        print(f"qgenocchi: {exc}", file=sys.stderr)
+        return 4
     text = render_report(report, cfg.format)
     if cfg.out_path is None:
         sys.stdout.write(text)

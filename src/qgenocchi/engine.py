@@ -39,8 +39,6 @@ from .qcore import limit_at_one, q_integer
 from .ratfunc import R_ZERO, RatFunc, monomial_q
 from .records import VerificationRecord, limit_record, record_from_difference
 
-TWO_Q = Poly([1, 0, 1])  # [2]_q = 1 + q = 1 + x**2
-
 Variant = Literal["plain", "shifted"]
 
 
@@ -158,13 +156,13 @@ def coefficient_terms(
     denom = (Poly.monomial(4) - 1) * (Poly.monomial(2 * b) - 1) ** (n - 1)
     terms: list[ExpTerm] = []
     if variant == "plain":
-        prefactor = RatFunc(n * TWO_Q * Poly.monomial((n + 1) * k), denom)
+        prefactor = n * q_integer(2) * RatFunc(Poly.monomial((n + 1) * k), denom)
         for m in range(n):
             c = prefactor * (comb(n - 1, m) * (-1) ** (n - 1 - m))
             terms.append(ExpTerm(c, 2 * b * m + 4 - (n + 1)))
             terms.append(ExpTerm(-c, 2 * b * m - (n + 1)))
     elif variant == "shifted":
-        prefactor = RatFunc(n * ((-1) ** k) * TWO_Q, denom)
+        prefactor = n * (-1) ** k * q_integer(2) / denom
         for m in range(n):
             c = prefactor * (comb(n - 1, m) * (-1) ** (n - 1 - m))
             c = c * monomial_q(2 * b * m * k)
@@ -224,7 +222,7 @@ def check_alt_qsum(
     lhs = alt_qsum(n, k, lhs_conv)
     g = q_genocchi_number(n, k, conv).value
     g_shift = q_genocchi_number_shifted(n, k, conv).value
-    rhs = (g - g_shift) / RatFunc(n * TWO_Q)
+    rhs = (g - g_shift) / (n * q_integer(2))
     label = conv.value if lhs_conv is conv else f"{lhs_conv.value}/{conv.value}"
     return record_from_difference("alt_qsum", {"n": n, "k": k}, lhs - rhs, label)
 

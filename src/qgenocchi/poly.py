@@ -4,8 +4,10 @@ The indeterminate is written ``x``.  Everywhere else in this package a
 q-expression is encoded with ``x = q**(1/2)``, so integer powers of x cover
 half-integer powers of q exactly.
 
-Coefficients are ``fractions.Fraction``; coefficient lists never carry
-trailing zeros, so the zero polynomial is the empty tuple and has degree -1.
+A polynomial is stored as Python ints over one positive common denominator,
+with no trailing zeros and no factor shared by the denominator and every
+numerator, so structural equality is equality; the zero polynomial has no
+numerators and degree -1.  ``coeffs`` reads them back as ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from math import gcd as _igcd, lcm as _ilcm
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -26,25 +28,47 @@ class DegreeLimitError(RuntimeError):
 
 
 def max_degree() -> int:
-    """Current degree cap: QGL_MAX_DEGREE env var, default 10000."""
+    """Current degree cap: QGL_MAX_DEGREE env var, default 10000.
+
+    Raises ValueError unless the variable is unset, empty or a positive integer.
+    """
     raw = os.environ.get(_ENV_MAX_DEGREE)
-    return int(raw) if raw else DEFAULT_MAX_DEGREE
+    if not raw:
+        return DEFAULT_MAX_DEGREE
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ValueError(f"{_ENV_MAX_DEGREE} must be a positive integer, got {raw!r}")
+    return int(raw)
+
+
+def _make(nums: list[int], den: int) -> "Poly":
+    """The canonical Poly for sum(nums[i] * x**i) / den."""
+    while nums and not nums[-1]:
+        nums.pop()
+    # A valid cap is at least 1, so degrees 0 and 1 need no lookup.
+    if len(nums) > 2 and len(nums) - 1 > max_degree():
+        raise DegreeLimitError(
+            f"degree {len(nums) - 1} exceeds {_ENV_MAX_DEGREE}={max_degree()}"
+        )
+    g = _igcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g != 1:
+        nums = [c // g for c in nums]
+        den //= g
+    out = object.__new__(Poly)
+    out._nums, out._den = tuple(nums), den
+    return out
 
 
 class Poly:
-    """Immutable dense polynomial; ``coeffs[i]`` multiplies ``x**i``."""
+    """Immutable dense polynomial ``sum(_nums[i] * x**i) / _den``."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_nums", "_den")
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()) -> None:
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        if len(cs) - 1 > max_degree():
-            raise DegreeLimitError(
-                f"degree {len(cs) - 1} exceeds {_ENV_MAX_DEGREE}={max_degree()}"
-            )
-        self.coeffs = tuple(cs)
+    def __new__(cls, coeffs: Iterable[Scalar] = ()) -> "Poly":
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        den = _ilcm(*(c.denominator for c in cs))
+        return _make([c.numerator * (den // c.denominator) for c in cs], den)
 
     @classmethod
     def monomial(cls, n: int, c: Scalar = 1) -> "Poly":
@@ -54,76 +78,73 @@ class Poly:
         return cls([0] * n + [c])
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """``coeffs[i]`` multiplies ``x**i``."""
+        return tuple(Fraction(c, self._den) for c in self._nums)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._nums
 
     @property
     def leading(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return Fraction(self._nums[-1], self._den) if self._nums else Fraction(0)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._nums)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            return self.coeffs == Poly([other]).coeffs
+            other = Poly([other])
+        if isinstance(other, Poly):
+            return self._nums == other._nums and self._den == other._den
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self._nums, self._den))
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return _make([-c for c in self._nums], self._den)
 
     def __add__(self, other: "Poly | Scalar") -> "Poly":
-        other = _coerce(other)
-        if other is NotImplemented:
+        if isinstance(other, (int, Fraction)):
+            other = Poly([other])
+        elif not isinstance(other, Poly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        den = _ilcm(self._den, other._den)
+        sa, sb = den // self._den, den // other._den
+        a = [c * sa for c in self._nums]
+        b = [c * sb for c in other._nums]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        a[: len(b)] = [x + y for x, y in zip(a, b)]
+        return _make(a, den)
 
     __radd__ = __add__
 
     def __sub__(self, other: "Poly | Scalar") -> "Poly":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other: "Poly | Scalar") -> "Poly":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
+        return -self + other
 
     def __mul__(self, other: "Poly | Scalar") -> "Poly":
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return ZERO
-            return Poly([c * other for c in self.coeffs])
+            s = other.numerator
+            return _make([c * s for c in self._nums], self._den * other.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return ZERO
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        a, b = self._nums, other._nums
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return Poly(out)
+            if ca:
+                j = i + len(b)
+                out[i:j] = [o + ca * cb for o, cb in zip(out[i:j], b)]
+        return _make(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -145,22 +166,10 @@ class Poly:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        r = list(self.coeffs)
-        dv = other.coeffs
-        lead = dv[-1]
-        qlen = max(0, len(r) - len(dv) + 1)
-        q = [Fraction(0)] * qlen
-        while len(r) >= len(dv):
-            c = r[-1] / lead
-            s = len(r) - len(dv)
-            q[s] = c
-            for i, cv in enumerate(dv):
-                r[s + i] -= c * cv
-            while r and not r[-1]:
-                r.pop()
-            if not r:
-                break
-        return Poly(q), Poly(r)
+        # lc**e * u = q*v + r over the integers, with self = u/du, other = v/dv.
+        q, r, e = _pseudo_divmod(self._nums, other._nums)
+        scale = other._nums[-1] ** e * self._den
+        return _make([c * other._den for c in q], scale), _make(r, scale)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -169,26 +178,24 @@ class Poly:
         return divmod(self, other)[1]
 
     def __call__(self, x0: Scalar) -> Fraction:
-        """Evaluate at a rational point by Horner's rule."""
+        """Evaluate at a rational point by Horner's rule on the integers."""
         x0 = Fraction(x0)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x0 + c
-        return acc
+        a, b = x0.numerator, x0.denominator
+        acc, bk = 0, 1
+        for c in reversed(self._nums):
+            acc, bk = acc * a + c * bk, bk * b
+        return Fraction(acc * b, bk * self._den)
 
     def monic(self) -> "Poly":
         if self.is_zero:
             raise ValueError("monic of the zero polynomial is undefined")
-        lc = self.leading
-        if lc == 1:
-            return self
-        return Poly([c / lc for c in self.coeffs])
+        return _make(list(self._nums), self._nums[-1])
 
     def __repr__(self) -> str:
         return f"Poly({[str(c) for c in self.coeffs]})"
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        if not self._nums:
             return "0"
         parts = []
         for i, c in enumerate(self.coeffs):
@@ -203,53 +210,39 @@ class Poly:
         return " + ".join(parts)
 
 
-def _coerce(value: "Poly | Scalar") -> "Poly":
-    if isinstance(value, Poly):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Poly([value])
-    return NotImplemented
-
-
 ZERO = Poly()
 ONE = Poly([1])
 X = Poly([0, 1])
 
 
-def _int_primitive(p: Poly) -> list[int]:
-    """Integer coefficient list of p scaled to primitive form (content 1)."""
-    denom_lcm = 1
-    for c in p.coeffs:
-        denom_lcm = _ilcm(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in p.coeffs]
-    content = 0
-    for v in ints:
-        content = _igcd(content, v)
-    if content > 1:
-        ints = [v // content for v in ints]
-    return ints
+def _pseudo_divmod(
+    u: Sequence[int], v: Sequence[int]
+) -> tuple[list[int], list[int], int]:
+    """Integer pseudo-division: q, r, e with lc(v)**e * u == q*v + r.
 
-
-def _prem(u: list[int], v: list[int]) -> list[int]:
-    """Pseudo-remainder lc(v)**(deg u - deg v + 1) * u mod v over the integers."""
-    n = len(v) - 1
-    lc = v[-1]
-    delta = len(u) - 1 - n
+    deg r < deg v and 0 <= e <= deg u - deg v + 1.  A quotient digit is
+    taken exactly when lc(v) divides the leading remainder coefficient;
+    only otherwise are the remainder and the partial quotient scaled by
+    lc(v), so exact divisions stay free of powers of lc(v).
+    """
+    lc, n = v[-1], len(v) - 1
     r = list(u)
-    steps = 0
-    while r and len(r) - 1 >= n:
-        rl = r[-1]
-        r = [lc * c for c in r]
-        steps += 1
-        s = len(r) - 1 - n
-        for i, cv in enumerate(v):
-            r[s + i] -= rl * cv
-        while r and r[-1] == 0:
+    q = [0] * max(0, len(r) - n)
+    e = 0
+    while len(r) > n:
+        top = r.pop()
+        c, rem = divmod(top, lc)
+        if rem:
+            r = [lc * x for x in r]
+            q = [lc * x for x in q]
+            e += 1
+            c = top
+        s = len(r) - n
+        q[s] = c
+        r[s:] = [x - c * y for x, y in zip(r[s:], v)]
+        while r and not r[-1]:
             r.pop()
-    if steps < delta + 1:
-        m = lc ** (delta + 1 - steps)
-        r = [c * m for c in r]
-    return r
+    return q, r, e
 
 
 def gcd(a: Poly, b: Poly) -> Poly:
@@ -263,27 +256,22 @@ def gcd(a: Poly, b: Poly) -> Poly:
         return b.monic()
     if b.is_zero:
         return a.monic()
-    u = _int_primitive(a)
-    v = _int_primitive(b)
+    u, v = a._nums, b._nums
     if len(u) < len(v):
         u, v = v, u
     g, h = 1, 1
-    while True:
-        delta = (len(u) - 1) - (len(v) - 1)
-        r = _prem(u, v)
+    while len(v) > 1:
+        delta = len(u) - len(v)
+        _, r, e = _pseudo_divmod(u, v)
         if not r:
-            break
-        if len(r) == 1:
-            return ONE
-        u, v = v, [c // (g * h**delta) for c in r]
+            return _make(list(v), v[-1])
+        # Complete r to the full pseudo-remainder lc**(delta+1) * u mod v,
+        # then divide out the subresultant factor g * h**delta exactly.
+        m, d = v[-1] ** (delta + 1 - e), g * h**delta
+        u, v = v, [c * m // d for c in r]
         g = u[-1]
         if delta == 1:
             h = g
         elif delta > 1:
             h = g**delta // h ** (delta - 1)
-    content = 0
-    for c in v:
-        content = _igcd(content, c)
-    if content > 1:
-        v = [c // content for c in v]
-    return Poly(v).monic()
+    return ONE

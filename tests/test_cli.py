@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -166,6 +170,35 @@ def test_unwritable_out_path_exits_three(capsys):
     assert code == 3
     assert out == ""
     assert "cannot write" in err
+
+
+def _run_module(argv, **env):
+    """`python -m qgenocchi argv` in a fresh process with extra env vars."""
+    src = str(Path(qgenocchi.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "qgenocchi", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src, **env},
+    )
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_degree_cap_exits_two(value):
+    for argv in (["numbers", "--nmax", "2"], ["--version"]):
+        done = _run_module(argv, QGL_MAX_DEGREE=value)
+        assert done.returncode == 2, argv
+        assert done.stdout == ""
+        assert done.stderr == (
+            f"qgenocchi: QGL_MAX_DEGREE must be a positive integer, got '{value}'\n"
+        )
+
+
+def test_degree_cap_exceeded_exits_four():
+    done = _run_module(["verify", "--nmax", "4", "--kmax", "4"], QGL_MAX_DEGREE="30")
+    assert done.returncode == 4
+    assert done.stdout == ""
+    assert re.fullmatch(r"qgenocchi: degree \d+ exceeds QGL_MAX_DEGREE=30\n", done.stderr)
 
 
 def test_out_file_matches_stdout(tmp_path, capsys):

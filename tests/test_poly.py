@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qgenocchi.poly import ONE, X, ZERO, DegreeLimitError, Poly, gcd
+from qgenocchi.poly import ONE, X, ZERO, DegreeLimitError, Poly, gcd, max_degree
 
 small_fracs = st.fractions(
     min_value=-5, max_value=5, max_denominator=6
@@ -93,6 +93,13 @@ def test_degree_cap_env(monkeypatch):
     with pytest.raises(DegreeLimitError):
         Poly.monomial(11)
     assert Poly.monomial(10).degree == 10
+
+
+def test_bad_degree_cap_rejected(monkeypatch):
+    for raw in ("abc", "0", "-3", "1.5"):
+        monkeypatch.setenv("QGL_MAX_DEGREE", raw)
+        with pytest.raises(ValueError, match="positive integer"):
+            max_degree()
 
 
 @given(small_polys, small_polys, small_polys)

@@ -1,0 +1,90 @@
+"""Differential tests of the polynomial kernel against sympy.
+
+sympy is a test-only oracle: the module is skipped where it is not
+installed.  Inputs are wider than in test_poly.py: degrees up to 12, large
+numerators and denominators, negative leading coefficients, integer content
+above 1, and the exact divisions RatFunc performs (num // gcd).
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from qgenocchi.poly import Poly, gcd
+from qgenocchi.ratfunc import RatFunc
+
+sympy = pytest.importorskip("sympy")
+
+x = sympy.Symbol("x")
+
+big_coeffs = st.one_of(
+    st.integers(min_value=-(10**20), max_value=10**20),
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**9),
+)
+wide_polys = st.lists(big_coeffs, min_size=0, max_size=13).map(Poly)
+# Integer polynomials times a content above 1, with the sign of the leading
+# coefficient drawn separately so negative leads are common.
+int_polys_with_content = st.builds(
+    lambda cs, content, sign: Poly([sign * content * c for c in cs]),
+    st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=13).filter(
+        lambda cs: cs[-1] != 0
+    ),
+    st.integers(min_value=2, max_value=10**6),
+    st.sampled_from([1, -1]),
+)
+polys = st.one_of(wide_polys, int_polys_with_content)
+nonzero_polys = polys.filter(lambda p: not p.is_zero)
+
+
+def to_sympy(p: Poly):
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+    return sympy.Poly.from_list(coeffs, x, domain=sympy.QQ)
+
+
+@given(polys, polys, st.fractions(max_denominator=50))
+def test_add_mul_eval_match_sympy(a, b, x0):
+    sa, sb = to_sympy(a), to_sympy(b)
+    assert to_sympy(a + b) == sa + sb
+    assert to_sympy(a - b) == sa - sb
+    assert to_sympy(a * b) == sa * sb
+    assert to_sympy(a * x0) == sa * sympy.Rational(x0.numerator, x0.denominator)
+    value = sa.eval(sympy.Rational(x0.numerator, x0.denominator))
+    assert a(x0) == Fraction(int(value.p), int(value.q))
+
+
+@given(polys, nonzero_polys)
+def test_divmod_matches_sympy(a, b):
+    q, r = divmod(a, b)
+    sq, sr = to_sympy(a).div(to_sympy(b))
+    assert (to_sympy(q), to_sympy(r)) == (sq, sr)
+    assert a // b == q and a % b == r
+
+
+@given(nonzero_polys, polys, nonzero_polys)
+def test_gcd_matches_sympy(a, b, c):
+    # A shared factor c makes most gcds nontrivial.
+    a, b = a * c, b * c
+    g = gcd(a, b)
+    assert to_sympy(g) == to_sympy(a).gcd(to_sympy(b))
+    assert g.leading == 1
+
+
+@given(nonzero_polys, nonzero_polys, nonzero_polys)
+def test_exact_division_by_gcd(a, b, c):
+    num, den = a * c, b * c
+    g = gcd(num, den)
+    assert num // g * g == num and (num % g).is_zero
+    assert to_sympy(num // g) == to_sympy(num).exquo(to_sympy(g))
+    assert (num * den) // den == num
+
+
+@given(polys, nonzero_polys, nonzero_polys)
+def test_ratfunc_canonical_form_matches_sympy_cancel(a, b, c):
+    f = RatFunc(a * c, b * c)
+    p, q = sympy.fraction(sympy.cancel(to_sympy(a * c).as_expr() / to_sympy(b * c).as_expr()))
+    sp = sympy.Poly(p, x, domain=sympy.QQ)
+    sq = sympy.Poly(q, x, domain=sympy.QQ)
+    lc = sq.LC()
+    assert (to_sympy(f.num), to_sympy(f.den)) == (sp.quo_ground(lc), sq.quo_ground(lc))

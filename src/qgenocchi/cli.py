@@ -7,11 +7,11 @@ the full identity grid.  Reports are emitted as JSON or CSV, to stdout or
 a file, and identical configurations always produce byte-identical output.
 
 Exit codes: 0 when every hard identity in the run passed, 1 when any hard
-identity failed, 2 for bad flags or a bad QGL_MAX_DEGREE, 3 for an I/O
-failure while writing the report, 4 when a polynomial outgrew the
-QGL_MAX_DEGREE cap during the run.  Report-only identities (the printed
-closed forms and the classical-limit comparisons) never affect the exit
-code.
+identity failed, 2 for bad flags (`numbers --nmax` above NUMBERS_MAX_N
+included) or a bad QGL_MAX_DEGREE, 3 for an I/O failure while writing the
+report, 4 when a polynomial outgrew the QGL_MAX_DEGREE cap during the run.
+Report-only identities (the printed closed forms and the classical-limit
+comparisons) never affect the exit code.
 """
 
 from __future__ import annotations
@@ -88,6 +88,11 @@ HARD_IDENTITIES = frozenset(
 SHIFT_LAW_TRIALS = 200
 SHIFT_LAW_MAX_SHIFT = 6
 SHIFT_LAW_SEED = 271828
+
+# Largest `numbers --nmax`.  The tables cost O(N**2) operations on integers
+# of O(N log N) bits, so the time grows faster than N**3: N = 1000 takes a
+# few seconds and about 35 MB, and larger values are refused with exit 2.
+NUMBERS_MAX_N = 1000
 
 
 @dataclass(frozen=True)
@@ -351,6 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
     if args.nmax < 1 or args.kmax < 1:
         parser.error("--nmax and --kmax must be >= 1")
+    if args.command == "numbers" and args.nmax > NUMBERS_MAX_N:
+        parser.error(f"numbers --nmax {args.nmax} exceeds the cap of {NUMBERS_MAX_N}")
     if args.q is not None and not (0 < args.q < 1):
         parser.error("--q must lie strictly between 0 and 1")
     if args.convention == "all":

@@ -7,8 +7,6 @@ are no tolerances anywhere in this module.
 
 import json
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
 from qgenocchi.classical import (
@@ -195,36 +193,18 @@ def test_criterion_9_classical_limit_reports():
     report("criterion 9: q->1 comparison report with exact values or pole flags", ok)
 
 
-def test_criterion_10_cli_determinism_and_exit_codes(tmp_path):
-    cmd = [sys.executable, "-m", "qgenocchi", "verify", "--nmax", "6", "--kmax", "6"]
-    first = subprocess.run(cmd, capture_output=True)
-    second = subprocess.run(cmd, capture_output=True)
+def test_criterion_10_cli_determinism_and_exit_codes(run_module, tmp_path):
+    argv = ["verify", "--nmax", "6", "--kmax", "6"]
+    first = run_module(argv)
+    second = run_module(argv)
     ok = first.returncode == 0 and second.returncode == 0
     ok = ok and first.stdout == second.stdout and len(first.stdout) > 0
     report_obj = json.loads(first.stdout)
     ok = ok and report_obj["summary"]["alt_qsum"]["FAIL"] == 0
-    bad = subprocess.run(
-        [sys.executable, "-m", "qgenocchi", "verify", "--nmax", "0"],
-        capture_output=True,
-    )
+    bad = run_module(["verify", "--nmax", "0"])
     ok = ok and bad.returncode == 2
-    blocked = subprocess.run(
-        [sys.executable, "-m", "qgenocchi", "numbers", "--out", "/no-such-dir/r.json"],
-        capture_output=True,
-    )
+    blocked = run_module(["numbers", "--out", "/no-such-dir/r.json"])
     ok = ok and blocked.returncode == 3
-    written = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "qgenocchi",
-            "numbers",
-            "--nmax",
-            "4",
-            "--out",
-            str(tmp_path / "r.json"),
-        ],
-        capture_output=True,
-    )
+    written = run_module(["numbers", "--nmax", "4", "--out", str(tmp_path / "r.json")])
     ok = ok and written.returncode == 0 and (tmp_path / "r.json").exists()
     report("criterion 10: CLI byte-identical reruns and exit-code contract", ok)

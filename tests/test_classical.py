@@ -1,10 +1,12 @@
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from math import comb, factorial
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qgenocchi import classical
 from qgenocchi.classical import (
     alt_power_sum,
     alt_power_sum_via_euler,
@@ -20,6 +22,7 @@ from qgenocchi.classical import (
     order_r_genocchi,
     power_sum,
 )
+from qgenocchi.series import Series, exp_xt
 
 
 def akiyama_tanigawa(n_max):
@@ -46,6 +49,31 @@ def genocchi_poly_binomial(n, x):
     return sum(
         (comb(n, k) * table[k] * x ** (n - k) for k in range(n + 1)), Fraction(0)
     )
+
+
+@lru_cache(maxsize=None)
+def series_euler_gf(n_max):
+    """2/(exp(t)+1) by inverting a Fraction power series."""
+    halves = [Fraction(1)]
+    halves += [Fraction(1, 2 * factorial(m)) for m in range(1, n_max + 1)]
+    return Series(halves, n_max).recip()
+
+
+def series_tables(n_max):
+    """B, E, G and G^(2) as inverted Fraction power series, a route that
+    shares nothing with the integer recurrences of the package."""
+    bernoulli = Series([Fraction(1, factorial(m + 1)) for m in range(n_max + 1)], n_max)
+    return {
+        "B": bernoulli.recip(),
+        "E": series_euler_gf(n_max),
+        "G": series_euler_gf(n_max).shift_up(),
+        "G^(2)": series_order_r_gf(2, n_max, Fraction(0)),
+    }
+
+
+def series_order_r_gf(r, n_max, x):
+    """2*(1/(1+exp(t)))**r * exp(x*t) as a Fraction power series."""
+    return (series_euler_gf(n_max) * Fraction(1, 2)) ** r * exp_xt(x, n_max) * 2
 
 
 def euler_at_zero_oracle(n):
@@ -83,6 +111,72 @@ def test_euler_anchors():
     assert table[3] == Fraction(1, 4)
 
 
+def test_tables_match_series_oracle():
+    n_max = 80
+    oracle = series_tables(n_max)
+    tables = {
+        "B": bernoulli_numbers(n_max),
+        "E": euler_numbers(n_max),
+        "G": genocchi_numbers(n_max),
+        "G^(2)": order_r_genocchi(2, n_max),
+    }
+    for kind, table in tables.items():
+        assert len(table) == n_max + 1
+        for n in range(n_max + 1):
+            assert table[n] == oracle[kind].factorial_coeff(n), (kind, n)
+
+
+@given(
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=25),
+    st.fractions(min_value=-20, max_value=20, max_denominator=50),
+)
+def test_order_r_genocchi_matches_series_oracle(r, n_max, x):
+    table = order_r_genocchi(r, n_max, x)
+    gf = series_order_r_gf(r, n_max, x)
+    assert list(table) == [gf.factorial_coeff(n) for n in range(n_max + 1)]
+
+
+def test_bernoulli_against_triangle_oracle_to_100():
+    assert list(bernoulli_numbers(100)) == akiyama_tanigawa(100)
+
+
+@pytest.fixture
+def fresh_tables():
+    """Empty the table caches so a patched recurrence really runs."""
+    caches = [f for f in vars(classical).values() if hasattr(f, "cache_clear")]
+    for f in caches:
+        f.cache_clear()
+    yield
+    for f in caches:
+        f.cache_clear()
+
+
+def test_exact_quotient_refuses_a_remainder():
+    assert classical._exact_quotient(-12, 4) == -3
+    with pytest.raises(ArithmeticError):
+        classical._exact_quotient(-7, 2)
+
+
+def test_bernoulli_step_raises_without_its_denominator(monkeypatch, fresh_tables):
+    monkeypatch.setattr(classical, "lcm", lambda *args: 1)
+    with pytest.raises(ArithmeticError):
+        bernoulli_numbers(4)
+
+
+@pytest.mark.parametrize("build", [genocchi_numbers, euler_numbers])
+def test_halving_step_raises_on_an_odd_sum(monkeypatch, fresh_tables, build):
+    pascal_rows = classical._pascal_rows
+
+    def off_by_one(n_max, weight=1):
+        for n, row in enumerate(pascal_rows(n_max, weight)):
+            yield [row[0], row[1] + 1, *row[2:]] if n >= 1 else row
+
+    monkeypatch.setattr(classical, "_pascal_rows", off_by_one)
+    with pytest.raises(ArithmeticError):
+        build(6)
+
+
 def test_genocchi_anchors():
     table = genocchi_numbers(8)
     assert table[0] == 0
@@ -109,6 +203,11 @@ def test_relations_check_grid():
         assert rec.passed, (m, rec.witness)
         assert rec.identity == "genocchi_relations"
         assert set(rec.details) == {"series", "via_bernoulli", "via_euler"}
+
+
+def test_relations_check_to_m_60():
+    for m in range(1, 61):
+        assert genocchi_relations_check(m).passed, m
 
 
 def test_relations_check_domain():

@@ -1,9 +1,6 @@
 import hashlib
 import json
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -11,9 +8,11 @@ import pytest
 import qgenocchi
 from qgenocchi.cli import (
     HARD_IDENTITIES,
+    NUMBERS_MAX_N,
     SHIFT_LAW_MAX_SHIFT,
     SHIFT_LAW_TRIALS,
     build_parser,
+    config_from_args,
     exit_code_for,
     main,
     shift_law_record,
@@ -172,21 +171,10 @@ def test_unwritable_out_path_exits_three(capsys):
     assert "cannot write" in err
 
 
-def _run_module(argv, **env):
-    """`python -m qgenocchi argv` in a fresh process with extra env vars."""
-    src = str(Path(qgenocchi.__file__).resolve().parents[1])
-    return subprocess.run(
-        [sys.executable, "-m", "qgenocchi", *argv],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src, **env},
-    )
-
-
 @pytest.mark.parametrize("value", ["abc", "0"])
-def test_bad_degree_cap_exits_two(value):
+def test_bad_degree_cap_exits_two(run_module, value):
     for argv in (["numbers", "--nmax", "2"], ["--version"]):
-        done = _run_module(argv, QGL_MAX_DEGREE=value)
+        done = run_module(argv, QGL_MAX_DEGREE=value)
         assert done.returncode == 2, argv
         assert done.stdout == ""
         assert done.stderr == (
@@ -194,11 +182,28 @@ def test_bad_degree_cap_exits_two(value):
         )
 
 
-def test_degree_cap_exceeded_exits_four():
-    done = _run_module(["verify", "--nmax", "4", "--kmax", "4"], QGL_MAX_DEGREE="30")
+def test_degree_cap_exceeded_exits_four(run_module):
+    done = run_module(["verify", "--nmax", "4", "--kmax", "4"], QGL_MAX_DEGREE="30")
     assert done.returncode == 4
     assert done.stdout == ""
     assert re.fullmatch(r"qgenocchi: degree \d+ exceeds QGL_MAX_DEGREE=30\n", done.stderr)
+
+
+def test_numbers_nmax_above_cap_exits_two(run_module):
+    value = NUMBERS_MAX_N + 1
+    done = run_module(["numbers", "--nmax", str(value)])
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.splitlines()[-1] == (
+        f"qgenocchi: error: numbers --nmax {value} exceeds the cap of {NUMBERS_MAX_N}"
+    )
+
+
+def test_nmax_cap_only_bounds_numbers():
+    parser = build_parser()
+    for command in ("qtable", "limits", "verify"):
+        args = parser.parse_args([command, "--nmax", str(NUMBERS_MAX_N + 1)])
+        assert config_from_args(args, parser).n_max == NUMBERS_MAX_N + 1
 
 
 def test_out_file_matches_stdout(tmp_path, capsys):

@@ -5,7 +5,7 @@ integers over one known denominator per table (the n!-scaled basis of
 Brent and Harvey, "Fast computation of Bernoulli, Tangent and Secant
 numbers", 2011).  B, E and G each have their own recurrence, so the
 relations between them stay a real check.  The Euler and Genocchi
-polynomial values come from truncated Series over Fraction.
+polynomial values are read off the order-1 table at x.
 
 Conventions:
 
@@ -27,11 +27,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, lcm
 from operator import add, mul
 
 from .records import VerificationRecord, frac_str, record_from_difference
-from .series import Series, exp_xt
 
 
 class NumberTable:
@@ -93,14 +92,6 @@ def _binomial_convolution(a: Sequence[int], b: Sequence[int]) -> list[int]:
         sum(map(mul, row, map(mul, a, reversed(b[: n + 1]))))
         for n, row in enumerate(_pascal_rows(len(a) - 1))
     ]
-
-
-@lru_cache(maxsize=None)
-def _euler_gf(order: int) -> Series:
-    """Series of 2/(exp(t)+1)."""
-    halves = [Fraction(1)]
-    halves += [Fraction(1, 2 * factorial(m)) for m in range(1, order + 1)]
-    return Series(halves, order).recip()
 
 
 @lru_cache(maxsize=None)
@@ -179,17 +170,15 @@ def order_r_genocchi(r: int, n_max: int, x: Fraction = Fraction(0)) -> NumberTab
 
 
 def genocchi_poly(n: int, x: Fraction) -> Fraction:
-    """Genocchi polynomial G_n(x) from the series 2t/(exp(t)+1) * exp(x*t)."""
+    """Genocchi polynomial G_n(x) from 2t/(exp(t)+1) * exp(x*t): n * E_{n-1}(x)."""
     _require(n >= 0, "n must be >= 0")
-    gf = (_euler_gf(n) * exp_xt(Fraction(x), n)).shift_up()
-    return gf.factorial_coeff(n)
+    return n * euler_poly(n - 1, x) if n else Fraction(0)
 
 
 def euler_poly(k: int, x: Fraction) -> Fraction:
-    """Euler polynomial E_k(x) from 2*exp(x*t)/(exp(t)+1)."""
+    """Euler polynomial E_k(x) from 2*exp(x*t)/(exp(t)+1): G^(1)_k(x)."""
     _require(k >= 0, "k must be >= 0")
-    gf = _euler_gf(k) * exp_xt(Fraction(x), k)
-    return gf.factorial_coeff(k)
+    return order_r_genocchi(1, k, Fraction(x))[k]
 
 
 def genocchi_relations_check(m: int) -> VerificationRecord:

@@ -99,10 +99,7 @@ def merge_terms(terms: Iterable[ExpTerm]) -> tuple[ExpTerm, ...]:
 @lru_cache(maxsize=None)
 def _regularized(beta2: int) -> RatFunc:
     """Value assigned to sum_{j>=0} (-1)**(j-1) * q**(beta2/2 * j)."""
-    if beta2 >= 0:
-        return RatFunc(Poly([-1]), Poly.monomial(beta2) + 1)
-    a = -beta2
-    return RatFunc(-Poly.monomial(a), Poly.monomial(a) + 1)
+    return -1 / (monomial_q(beta2) + 1)
 
 
 def fermionic_sum(terms: Iterable[ExpTerm]) -> RatFunc:
@@ -147,29 +144,25 @@ def coefficient_terms(
     expand binomially into exponentials q**(beta*j), leaving for each
     m = 0..n-1 a pair of terms at beta2 = 2*b*m + 4 - (n+1) and
     beta2 = 2*b*m - (n+1), where b is the convention's bracket base power.
+    The shifted family is the plain one summed from j = k, so its terms are
+    the plain terms reindexed by shift_terms.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if k < 0:
         raise ValueError("k must be >= 0")
+    if variant == "shifted":
+        return shift_terms(coefficient_terms(n, k, "plain", conv), k)
+    if variant != "plain":
+        raise ValueError(f"unknown variant {variant!r}")
     b = conv.base_power
     denom = (Poly.monomial(4) - 1) * (Poly.monomial(2 * b) - 1) ** (n - 1)
+    prefactor = n * q_integer(2) * RatFunc(Poly.monomial((n + 1) * k), denom)
     terms: list[ExpTerm] = []
-    if variant == "plain":
-        prefactor = n * q_integer(2) * RatFunc(Poly.monomial((n + 1) * k), denom)
-        for m in range(n):
-            c = prefactor * (comb(n - 1, m) * (-1) ** (n - 1 - m))
-            terms.append(ExpTerm(c, 2 * b * m + 4 - (n + 1)))
-            terms.append(ExpTerm(-c, 2 * b * m - (n + 1)))
-    elif variant == "shifted":
-        prefactor = n * (-1) ** k * q_integer(2) / denom
-        for m in range(n):
-            c = prefactor * (comb(n - 1, m) * (-1) ** (n - 1 - m))
-            c = c * monomial_q(2 * b * m * k)
-            terms.append(ExpTerm(c * monomial_q(4 * k), 2 * b * m + 4 - (n + 1)))
-            terms.append(ExpTerm(-c, 2 * b * m - (n + 1)))
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    for m in range(n):
+        c = prefactor * (comb(n - 1, m) * (-1) ** (n - 1 - m))
+        terms.append(ExpTerm(c, 2 * b * m + 4 - (n + 1)))
+        terms.append(ExpTerm(-c, 2 * b * m - (n + 1)))
     return merge_terms(terms)
 
 
@@ -243,7 +236,7 @@ def closed_form_g(n: int, k: int) -> QGenocchiValue:
         d1 = monomial_q(2 * m - 4 - (n - 1)) + 1
         d2 = monomial_q(2 * m - (n - 1)) + 1
         total = total + numer / (d1 * d2)
-    prefactor = RatFunc(1, (Poly([1, 0, -1])) ** n)  # (1 - q)**(-n)
+    prefactor = (1 - monomial_q(2)) ** -n
     return QGenocchiValue(n, k, "plain", prefactor * total)
 
 
@@ -263,7 +256,7 @@ def closed_form_g_shift(n: int, k: int) -> QGenocchiValue:
         d2 = monomial_q(2 * m - (n - 1)) + 1
         piece = monomial_q(2 * (m - 1) * k) / d1 - monomial_q(2 * (m + 1) * k) / d2
         total = total + piece * scale
-    prefactor = RatFunc(1, (Poly([1, 0, -1])) ** n)
+    prefactor = (1 - monomial_q(2)) ** -n
     return QGenocchiValue(n, k, "shifted", prefactor * total)
 
 

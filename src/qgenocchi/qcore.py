@@ -87,16 +87,13 @@ def limit_at_one(f: RatFunc) -> Fraction | PoleReport:
 
 
 def warnaar_check(n: int) -> VerificationRecord:
-    """Quadratic q-power-sum identity:
+    """Quadratic identity for the q-power sum f_{3,q}(n):
 
     sum_{k=1}^{n} q**(2n-2k) [k]_q**2 [k]_{q^2}  ==  ([n+1 choose 2]_q)**2.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    lhs = R_ZERO
-    for k in range(1, n + 1):
-        term = q_integer(k) ** 2 * q_integer(k, 2)
-        lhs = lhs + term * RatFunc(Poly.monomial(4 * (n - k)))
+    lhs = q_power_sum(3, n)
     rhs = q_binomial(n + 1, 2) ** 2
     return record_from_difference("warnaar", {"n": n}, lhs - rhs)
 

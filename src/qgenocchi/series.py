@@ -2,7 +2,7 @@
 
 A Series of order N stores the N+1 coefficients of t**0 .. t**N.  The
 coefficient field is anything with exact +, *, / and ** (Fraction for the
-classical number tables, RatFunc for q-deformed generating functions).
+classical oracles in the tests, RatFunc for q-deformed generating functions).
 Binary operations truncate to the smaller order, so precision never
 silently exceeds what both operands support.
 """

@@ -230,6 +230,16 @@ def test_genocchi_poly_two_routes_agree():
             assert genocchi_poly(n, x) == genocchi_poly_binomial(n, x), (n, x)
 
 
+def test_euler_and_genocchi_poly_match_series_oracle():
+    n_max = 20
+    for x in SAMPLE_XS:
+        euler_gf = series_order_r_gf(1, n_max, x)
+        genocchi_gf = (series_euler_gf(n_max) * exp_xt(x, n_max)).shift_up()
+        for n in range(n_max + 1):
+            assert euler_poly(n, x) == euler_gf.factorial_coeff(n), (n, x)
+            assert genocchi_poly(n, x) == genocchi_gf.factorial_coeff(n), (n, x)
+
+
 def test_order_r_genocchi_anchors():
     table = order_r_genocchi(2, 1)
     assert table[0] == Fraction(1, 2)

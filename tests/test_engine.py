@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qgenocchi.classical import euler_numbers
 from qgenocchi.engine import (
     CONVENTIONS,
     Convention,
     ExpTerm,
+    _regularized,
     alt_qsum,
     check_alt_qsum,
     check_closed_form_g,
@@ -25,7 +28,7 @@ from qgenocchi.engine import (
     shift_terms,
 )
 from qgenocchi.poly import Poly
-from qgenocchi.qcore import q_integer
+from qgenocchi.qcore import limit_at_one, q_integer
 from qgenocchi.ratfunc import R_ONE, R_ZERO, RatFunc, evaluate_at_q, monomial_q
 from qgenocchi.series import Series, exp_xt
 
@@ -292,3 +295,83 @@ def test_deterministic_random_regression():
     assert fermionic_sum(shift_terms(terms, k)) == fermionic_sum(terms) - partial_sum(
         terms, k
     )
+
+
+def _shifted_terms_by_hand(n, k, conv):
+    """The shifted family's expansion written out on its own: prefactor
+    n (-1)**k [2]_q / denom, with q**(b*m*k) on each pair and q**(2k) on the
+    first term of the pair."""
+    b = conv.base_power
+    denom = (Poly.monomial(4) - 1) * (Poly.monomial(2 * b) - 1) ** (n - 1)
+    prefactor = n * (-1) ** k * q_integer(2) / denom
+    terms = []
+    for m in range(n):
+        c = prefactor * (comb(n - 1, m) * (-1) ** (n - 1 - m))
+        c = c * monomial_q(2 * b * m * k)
+        terms.append(ExpTerm(c * monomial_q(4 * k), 2 * b * m + 4 - (n + 1)))
+        terms.append(ExpTerm(-c, 2 * b * m - (n + 1)))
+    return merge_terms(terms)
+
+
+def test_shifted_terms_match_hand_expansion():
+    for conv in CONVENTIONS:
+        for n in range(1, 9):
+            for k in range(0, 9):
+                got = coefficient_terms(n, k, "shifted", conv)
+                assert got == _shifted_terms_by_hand(n, k, conv), (conv, n, k)
+
+
+def _regularized_two_branch(beta2):
+    """-1/(1 + x**beta2) with the x**|beta2| cleared by hand for beta2 < 0."""
+    if beta2 >= 0:
+        return RatFunc(Poly([-1]), Poly.monomial(beta2) + 1)
+    a = -beta2
+    return RatFunc(-Poly.monomial(a), Poly.monomial(a) + 1)
+
+
+def test_regularized_matches_two_branch_form():
+    for beta2 in range(-12, 13):
+        assert _regularized(beta2) == _regularized_two_branch(beta2), beta2
+
+
+def test_plain_values_vanish_for_even_n_under_q():
+    """G(n, k) = 0 for even n under the q convention, and why.
+
+    With b = 1 the plain term at m, beta2 = 2m + 3 - n, pairs with the
+    second term at m' = n-1-m, beta2 = -(2m + 3 - n).  Their coefficients
+    are P*a_m and -P*a_{m'} with a_m = C(n-1, m) (-1)**(n-1-m), and
+    -a_{m'} / a_m = (-1)**n, so for even n the merged list has
+    c_{-beta2} = c_{beta2}, and every beta2 is odd.  Since
+    _regularized(beta2) + _regularized(-beta2) = -1, G = -sum_{beta2>0} c.
+    Each unmerged pair is (c, -c), so all the c sum to 0, and by the
+    symmetry so do the c with beta2 > 0.
+    """
+    for n in range(2, 9, 2):
+        for k in range(0, 9):
+            terms = coefficient_terms(n, k, "plain", Q)
+            by_beta2 = {t.beta2: t.coeff for t in terms}
+            assert all(b2 % 2 for b2 in by_beta2), (n, k)
+            assert all(by_beta2[-b2] == c for b2, c in by_beta2.items()), (n, k)
+            for b2 in by_beta2:
+                assert _regularized(b2) + _regularized(-b2) == -R_ONE
+            positive = [c for b2, c in by_beta2.items() if b2 > 0]
+            assert sum(positive, R_ZERO) == R_ZERO, (n, k)
+            assert fermionic_sum(terms) == R_ZERO
+            assert q_genocchi_number(n, k, Q).value == R_ZERO, (n, k)
+
+
+def test_shifted_values_vanish_for_even_n_under_q_at_small_k():
+    # k = 0 is the plain family; at k = 1 the shift law subtracts the j = 0
+    # summand, -sum c, which is 0 as above
+    for n in range(2, 9, 2):
+        for k in (0, 1):
+            assert q_genocchi_number_shifted(n, k, Q).value == R_ZERO, (n, k)
+
+
+def test_limit_of_g_is_minus_n_times_euler_number():
+    for conv in CONVENTIONS:
+        for n in range(1, 11):
+            expected = -n * euler_numbers(n)[n]
+            for k in range(0, 9):
+                limit = limit_at_one(q_genocchi_number(n, k, conv).value)
+                assert limit == expected, (conv, n, k)

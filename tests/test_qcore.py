@@ -133,6 +133,15 @@ def test_warnaar_n2_by_hand():
     assert lhs == q_binomial(3, 2) ** 2
 
 
+def test_warnaar_left_side_is_q_power_sum():
+    for n in range(1, 13):
+        lhs = R_ZERO
+        for k in range(1, n + 1):
+            term = q_integer(k) ** 2 * q_integer(k, 2)
+            lhs = lhs + term * RatFunc(Poly.monomial(4 * (n - k)))
+        assert lhs == q_power_sum(3, n), n
+
+
 def test_garrett_hummel_small():
     for n in (1, 2, 3):
         rec = garrett_hummel_check(n)

@@ -272,6 +272,11 @@ REPORT_DIGESTS = {
         "e38db87b6ae6dc3676db8d32456bac1ca67a6aab804d911aac69493a848682d6",
     "verify --nmax 2 --kmax 2 --convention q2 --format csv":
         "b3d30a32394a805ee5d300513d0e5c19a5aa93eb0ef89f8d7dcc90326b2220a5",
+    # Larger grids, where the k-scaling and negative-exponent shifts run.
+    "verify --nmax 4 --kmax 4":
+        "70d15b9b909ac46ad5a99c36c6c52160a34e88c2ccd4312d6780600bb3efaca9",
+    "verify --nmax 6 --kmax 6":
+        "3d75cdeb013733f6189dcb4e5de1fb05daf8ac8ddc69badf160f9822c6be2d90",
 }
 
 

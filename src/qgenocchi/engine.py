@@ -122,15 +122,29 @@ def shift_terms(terms: Iterable[ExpTerm], k: int) -> tuple[ExpTerm, ...]:
 
 
 def partial_sum(terms: Iterable[ExpTerm], k: int) -> RatFunc:
-    """Exact finite sum of the first k summands (j = 0 .. k-1)."""
+    """Exact finite sum of the first k summands (j = 0 .. k-1).
+
+    Each term's sum_{j<k} (-1)**(j-1) * x**(beta2*j) is built directly from
+    its coefficient list: one polynomial for beta2 >= 0, and for beta2 < 0
+    the reversed list over x**(|beta2|*(k-1)).  It is deliberately not the
+    geometric closed form, whose denominator 1 + x**beta2 is the one the
+    regularization uses, so the shift law stays an independent check.
+    """
     if k < 0:
         raise ValueError("partial sum length must be >= 0")
+    if k == 0:
+        return R_ZERO
     total = R_ZERO
     for term in terms:
-        inner = R_ZERO
+        step = abs(term.beta2)
+        coeffs = [0] * (step * (k - 1) + 1)
         for j in range(k):
-            sign = 1 if j % 2 == 1 else -1
-            inner = inner + monomial_q(term.beta2 * j) * sign
+            # += so that beta2 = 0 collects every summand in the constant.
+            coeffs[step * j] += 1 if j % 2 == 1 else -1
+        if term.beta2 >= 0:
+            inner = RatFunc(Poly(coeffs))
+        else:
+            inner = RatFunc(Poly(coeffs[::-1]), Poly.monomial(step * (k - 1)))
         total = total + term.coeff * inner
     return total
 
@@ -168,8 +182,18 @@ def coefficient_terms(
 
 @lru_cache(maxsize=None)
 def q_genocchi_number(n: int, k: int, conv: Convention) -> QGenocchiValue:
-    """G(n, k): regularized t**n/n! coefficient of the plain family."""
-    value = fermionic_sum(coefficient_terms(n, k, "plain", conv))
+    """G(n, k): regularized t**n/n! coefficient of the plain family.
+
+    k enters the plain terms only through the prefactor x**((n+1)*k), so
+    G(n, k) = q**((n+1)*k/2) * G(n, 0): the regularized sum runs once per
+    (n, conv) and every k > 0 scales the cached k = 0 value.
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if k == 0:
+        value = fermionic_sum(coefficient_terms(n, 0, "plain", conv))
+    else:
+        value = q_genocchi_number(n, 0, conv).value * monomial_q((n + 1) * k)
     return QGenocchiValue(n, k, "plain", value)
 
 

@@ -28,9 +28,10 @@ class DegreeLimitError(RuntimeError):
 
 
 def max_degree() -> int:
-    """Current degree cap: QGL_MAX_DEGREE env var, default 10000.
+    """Degree cap named by the QGL_MAX_DEGREE env var, default 10000.
 
-    Raises ValueError unless the variable is unset, empty or a positive integer.
+    Reads the environment on every call.  Raises ValueError unless the
+    variable is unset, empty or a positive integer.
     """
     raw = os.environ.get(_ENV_MAX_DEGREE)
     if not raw:
@@ -40,15 +41,33 @@ def max_degree() -> int:
     return int(raw)
 
 
+# The cap _make enforces: max_degree() read on first use, or set_max_degree's.
+_cap: int | None = None
+
+
+def set_max_degree(cap: int | None) -> None:
+    """Set the degree cap for the rest of the process.
+
+    None drops the current cap, so QGL_MAX_DEGREE is read again on next use.
+    """
+    global _cap
+    if cap is not None and cap < 1:
+        raise ValueError(f"degree cap must be a positive integer, got {cap!r}")
+    _cap = cap
+
+
 def _make(nums: list[int], den: int) -> "Poly":
     """The canonical Poly for sum(nums[i] * x**i) / den."""
     while nums and not nums[-1]:
         nums.pop()
-    # A valid cap is at least 1, so degrees 0 and 1 need no lookup.
-    if len(nums) > 2 and len(nums) - 1 > max_degree():
-        raise DegreeLimitError(
-            f"degree {len(nums) - 1} exceeds {_ENV_MAX_DEGREE}={max_degree()}"
-        )
+    # A valid cap is at least 1, so degrees 0 and 1 need no check.
+    if len(nums) > 2:
+        if _cap is None:
+            set_max_degree(max_degree())
+        if len(nums) - 1 > _cap:
+            raise DegreeLimitError(
+                f"degree {len(nums) - 1} exceeds {_ENV_MAX_DEGREE}={_cap}"
+            )
     g = _igcd(den, *nums)
     if den < 0:
         g = -g
@@ -245,10 +264,22 @@ def _pseudo_divmod(
     return q, r, e
 
 
-def gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor via the subresultant remainder sequence.
+def _x_power(nums: Sequence[int]) -> int:
+    """The largest v such that x**v divides the nonzero polynomial nums."""
+    v = 0
+    while not nums[v]:
+        v += 1
+    return v
 
-    Raises ValueError when both arguments are zero.
+
+def gcd(a: Poly, b: Poly) -> Poly:
+    """Monic greatest common divisor.
+
+    Powers of x are split off first: with v(p) the power of x dividing p,
+    gcd(a, b) = x**min(v(a), v(b)) * gcd(a / x**v(a), b / x**v(b)).  A
+    constant cofactor (a or b a monomial) ends there; otherwise the
+    cofactors' gcd comes from the subresultant remainder sequence.  Raises
+    ValueError when both arguments are zero.
     """
     if a.is_zero and b.is_zero:
         raise ValueError("gcd undefined for two zero polynomials")
@@ -257,6 +288,9 @@ def gcd(a: Poly, b: Poly) -> Poly:
     if b.is_zero:
         return a.monic()
     u, v = a._nums, b._nums
+    vu, vv = _x_power(u), _x_power(v)
+    shift = [0] * min(vu, vv)
+    u, v = u[vu:], v[vv:]
     if len(u) < len(v):
         u, v = v, u
     g, h = 1, 1
@@ -264,7 +298,7 @@ def gcd(a: Poly, b: Poly) -> Poly:
         delta = len(u) - len(v)
         _, r, e = _pseudo_divmod(u, v)
         if not r:
-            return _make(list(v), v[-1])
+            return _make(shift + list(v), v[-1])
         # Complete r to the full pseudo-remainder lc**(delta+1) * u mod v,
         # then divide out the subresultant factor g * h**delta exactly.
         m, d = v[-1] ** (delta + 1 - e), g * h**delta
@@ -274,4 +308,4 @@ def gcd(a: Poly, b: Poly) -> Poly:
             h = g
         elif delta > 1:
             h = g**delta // h ** (delta - 1)
-    return ONE
+    return _make(shift + [1], 1)

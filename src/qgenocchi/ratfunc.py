@@ -48,11 +48,8 @@ class RatFunc:
         g = gcd(num, den)
         if g.degree > 0:
             num, den = num // g, den // g
-        lc = den.leading
-        if lc != 1:
-            inv = 1 / lc
-            num, den = num * inv, den * inv
-        self.num, self.den = num, den
+        canon = _reduced(num, den)
+        self.num, self.den = canon.num, canon.den
 
     @property
     def is_zero(self) -> bool:

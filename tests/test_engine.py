@@ -375,3 +375,36 @@ def test_limit_of_g_is_minus_n_times_euler_number():
             for k in range(0, 9):
                 limit = limit_at_one(q_genocchi_number(n, k, conv).value)
                 assert limit == expected, (conv, n, k)
+
+
+def _partial_sum_by_monomials(terms, k):
+    """The finite sum built one monomial at a time, summand by summand."""
+    total = R_ZERO
+    for term in terms:
+        inner = R_ZERO
+        for j in range(k):
+            sign = 1 if j % 2 == 1 else -1
+            inner = inner + monomial_q(term.beta2 * j) * sign
+        total = total + term.coeff * inner
+    return total
+
+
+def test_partial_sum_matches_monomial_loop():
+    coeff = RatFunc(Poly([2, -1]), Poly([1, 0, 3]))
+    for beta2 in range(-8, 9):
+        terms = (ExpTerm(coeff, beta2), ExpTerm(R_ONE, 3))
+        for k in range(0, 9):
+            got = partial_sum(terms, k)
+            assert got == _partial_sum_by_monomials(terms, k), (beta2, k)
+
+
+def test_g_scaling_matches_per_k_sum():
+    # G(n, k) is built as q**((n+1)k/2) * G(n, 0); the per-k regularized sum
+    # is the definition it must equal.
+    for conv in CONVENTIONS:
+        for n in range(1, 9):
+            for k in range(0, 9):
+                direct = fermionic_sum(coefficient_terms(n, k, "plain", conv))
+                assert q_genocchi_number(n, k, conv).value == direct, (conv, n, k)
+    with pytest.raises(ValueError):
+        q_genocchi_number(1, -1, Q)

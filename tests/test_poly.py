@@ -4,7 +4,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qgenocchi.poly import ONE, X, ZERO, DegreeLimitError, Poly, gcd, max_degree
+from qgenocchi.poly import (
+    ONE,
+    X,
+    ZERO,
+    DegreeLimitError,
+    Poly,
+    gcd,
+    max_degree,
+    set_max_degree,
+)
 
 small_fracs = st.fractions(
     min_value=-5, max_value=5, max_denominator=6
@@ -88,11 +97,34 @@ def test_monic():
         ZERO.monic()
 
 
-def test_degree_cap_env(monkeypatch):
-    monkeypatch.setenv("QGL_MAX_DEGREE", "10")
-    with pytest.raises(DegreeLimitError):
-        Poly.monomial(11)
-    assert Poly.monomial(10).degree == 10
+def test_degree_cap_env():
+    set_max_degree(10)
+    try:
+        with pytest.raises(DegreeLimitError):
+            Poly.monomial(11)
+        assert Poly.monomial(10).degree == 10
+    finally:
+        set_max_degree(None)
+
+
+def test_degree_cap_read_once(monkeypatch):
+    set_max_degree(None)
+    try:
+        monkeypatch.setenv("QGL_MAX_DEGREE", "12")
+        assert Poly.monomial(12).degree == 12
+        monkeypatch.setenv("QGL_MAX_DEGREE", "5")
+        assert Poly.monomial(12).degree == 12
+        set_max_degree(None)
+        with pytest.raises(DegreeLimitError, match="exceeds QGL_MAX_DEGREE=5"):
+            Poly.monomial(12)
+        monkeypatch.setenv("QGL_MAX_DEGREE", "abc")
+        set_max_degree(None)
+        with pytest.raises(ValueError, match="positive integer"):
+            Poly.monomial(3)
+        with pytest.raises(ValueError, match="positive integer"):
+            set_max_degree(0)
+    finally:
+        set_max_degree(None)
 
 
 def test_bad_degree_cap_rejected(monkeypatch):

@@ -80,11 +80,59 @@ def test_exact_division_by_gcd(a, b, c):
     assert (num * den) // den == num
 
 
-@given(polys, nonzero_polys, nonzero_polys)
-def test_ratfunc_canonical_form_matches_sympy_cancel(a, b, c):
-    f = RatFunc(a * c, b * c)
-    p, q = sympy.fraction(sympy.cancel(to_sympy(a * c).as_expr() / to_sympy(b * c).as_expr()))
-    sp = sympy.Poly(p, x, domain=sympy.QQ)
-    sq = sympy.Poly(q, x, domain=sympy.QQ)
+def assert_cancel_matches_sympy(num: Poly, den: Poly):
+    # Poly.cancel is the polynomial step of sympy.cancel, without the round
+    # trip through expressions that dominates its cost.
+    f = RatFunc(num, den)
+    sp, sq = to_sympy(num).cancel(to_sympy(den), include=True)
     lc = sq.LC()
     assert (to_sympy(f.num), to_sympy(f.den)) == (sp.quo_ground(lc), sq.quo_ground(lc))
+
+
+@given(polys, nonzero_polys, nonzero_polys)
+def test_ratfunc_canonical_form_matches_sympy_cancel(a, b, c):
+    assert_cancel_matches_sympy(a * c, b * c)
+
+
+# The strategies above almost never draw a zero constant term, so gcd's
+# split into a power of x times a cofactor gcd gets operands of its own:
+# each is multiplied by x**a with a in 0..6.
+x_powers = st.integers(min_value=0, max_value=6)
+monomials = st.builds(Poly.monomial, x_powers, big_coeffs.filter(bool))
+
+
+def times_x(p: Poly, a: int) -> Poly:
+    return p * Poly.monomial(a)
+
+
+def assert_gcd_and_cancel_match_sympy(a: Poly, b: Poly):
+    g = gcd(a, b)
+    assert to_sympy(g) == to_sympy(a).gcd(to_sympy(b))
+    if not b.is_zero:
+        assert_cancel_matches_sympy(a, b)
+
+
+@given(monomials, nonzero_polys, x_powers)
+def test_gcd_monomial_against_polynomial(m, p, a):
+    p = times_x(p, a)
+    assert_gcd_and_cancel_match_sympy(m, p)
+    assert_gcd_and_cancel_match_sympy(p, m)
+
+
+@given(monomials, monomials)
+def test_gcd_two_monomials(m1, m2):
+    assert_gcd_and_cancel_match_sympy(m1, m2)
+
+
+@given(nonzero_polys, nonzero_polys, nonzero_polys, x_powers, x_powers, x_powers)
+def test_gcd_shared_x_power_content(a, b, c, i, j, k):
+    # x**k * c is common to both sides on top of their own powers of x.
+    c = times_x(c, k)
+    assert_gcd_and_cancel_match_sympy(times_x(a * c, i), times_x(b * c, j))
+
+
+@given(st.one_of(monomials, nonzero_polys), x_powers)
+def test_gcd_zero_operand(p, a):
+    p = times_x(p, a)
+    assert_gcd_and_cancel_match_sympy(Poly(), p)
+    assert_gcd_and_cancel_match_sympy(p, Poly())

@@ -277,6 +277,13 @@ REPORT_DIGESTS = {
         "70d15b9b909ac46ad5a99c36c6c52160a34e88c2ccd4312d6780600bb3efaca9",
     "verify --nmax 6 --kmax 6":
         "3d75cdeb013733f6189dcb4e5de1fb05daf8ac8ddc69badf160f9822c6be2d90",
+    # Whole q-power-sum rows and q-Pascal triangles.
+    "limits --nmax 7 --kmax 10":
+        "c8dd9c38c7b57455e2c90f8bfa3f6d190f2ca66f01f18a970f7d91a2522d4286",
+    "limits --nmax 7 --kmax 20":
+        "911b0aa6c30de4ce332142be212188a4280d24a6325110a6018a39577c9fe921",
+    "qtable --nmax 8 --kmax 8":
+        "bb3f13dd83c568df55379cc91d90750ef7c32aaf1fcf7ec5cb734854b77955dd",
 }
 
 

@@ -25,6 +25,7 @@ import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from . import __version__
 from .classical import (
@@ -52,11 +53,11 @@ from .engine import (
 )
 from .poly import DegreeLimitError, Poly, max_degree
 from .qcore import (
+    _binomial_limit,
+    _binomial_rows,
+    _power_sum_limit,
+    _power_sums,
     garrett_hummel_check,
-    q_binomial,
-    q_binomial_limit_check,
-    q_power_sum,
-    q_power_sum_limit_check,
     warnaar_check,
 )
 from .ratfunc import RatFunc, evaluate_at_q
@@ -144,12 +145,12 @@ def _eval_detail(value: RatFunc, q0: Fraction) -> str:
 
 
 def _qtable_cells(cfg: RunConfig) -> Iterator[tuple[str, dict, RatFunc]]:
-    for n in range(cfg.n_max + 1):
-        for k in range(n + 1):
-            yield "q_binomial", {"k": k, "n": n}, q_binomial(n, k)
+    for n, row in enumerate(_binomial_rows(cfg.n_max)):
+        for k, value in enumerate(row):
+            yield "q_binomial", {"k": k, "n": n}, RatFunc(value)
     for m in range(1, cfg.n_max + 1):
-        for n in range(1, cfg.k_max + 1):
-            yield "q_power_sum", {"m": m, "n": n}, q_power_sum(m, n)
+        for n, value in enumerate(islice(_power_sums(m, cfg.k_max), 1, None), 1):
+            yield "q_power_sum", {"m": m, "n": n}, RatFunc(value)
 
 
 def _qtable_records(cfg: RunConfig) -> list[VerificationRecord]:
@@ -165,11 +166,11 @@ def _qtable_records(cfg: RunConfig) -> list[VerificationRecord]:
 def _limits_records(cfg: RunConfig) -> list[VerificationRecord]:
     out = []
     for m in range(1, cfg.n_max + 1):
-        for n in range(1, cfg.k_max + 1):
-            out.append(q_power_sum_limit_check(m, n))
-    for n in range(cfg.n_max + 1):
-        for k in range(n + 1):
-            out.append(q_binomial_limit_check(n, k))
+        for n, value in enumerate(islice(_power_sums(m, cfg.k_max), 1, None), 1):
+            out.append(_power_sum_limit(m, n, value))
+    for n, row in enumerate(_binomial_rows(cfg.n_max)):
+        for k, value in enumerate(row):
+            out.append(_binomial_limit(n, k, value))
     return out
 
 

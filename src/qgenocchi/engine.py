@@ -34,8 +34,8 @@ from math import comb
 from typing import Iterable, Literal
 
 from .classical import order_r_genocchi
-from .poly import Poly
-from .qcore import limit_at_one, q_integer
+from .poly import ZERO, Poly
+from .qcore import _q_int, limit_at_one, q_integer
 from .ratfunc import R_ZERO, RatFunc, monomial_q
 from .records import VerificationRecord, limit_record, record_from_difference
 
@@ -211,17 +211,20 @@ def alt_qsum(n: int, k: int, conv: Convention) -> RatFunc:
                    * q**((k-j)(n+1)/2),
 
     the left side of the telescoping identity; the bracket base of the
-    power factor follows the convention.
+    power factor follows the convention.  Built over integer polynomials
+    from alt(0) = 0 by
+    alt(k) = q**((n+1)/2) * (alt(k-1) + s * [k-1]_{q^2} * [k-1]_base**(n-1))
+    with s = (-1)**k.
     """
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
     b = conv.base_power
-    total = R_ZERO
+    step = Poly.monomial(n + 1)
+    total = ZERO
     for j in range(k):
-        sign = 1 if j % 2 == 1 else -1
-        term = q_integer(j, 2) * q_integer(j, b) ** (n - 1) * sign
-        total = total + term * monomial_q((k - j) * (n + 1))
-    return total
+        term = _q_int(j, 2) * _q_int(j, b) ** (n - 1)
+        total = step * (total + term if j % 2 == 1 else total - term)
+    return RatFunc(total)
 
 
 def check_alt_qsum(
@@ -244,6 +247,7 @@ def check_alt_qsum(
     return record_from_difference("alt_qsum", {"n": n, "k": k}, lhs - rhs, label)
 
 
+@lru_cache(maxsize=None)
 def closed_form_g(n: int, k: int) -> QGenocchiValue:
     """Literal transcription of the printed closed-form candidate for G(n, k).
 
@@ -264,6 +268,7 @@ def closed_form_g(n: int, k: int) -> QGenocchiValue:
     return QGenocchiValue(n, k, "plain", prefactor * total)
 
 
+@lru_cache(maxsize=None)
 def closed_form_g_shift(n: int, k: int) -> QGenocchiValue:
     """Literal transcription of the printed candidate for G_shift(n, k).
 

@@ -5,17 +5,26 @@ half-integer powers of q (which the q-power sums need) are ordinary integer
 powers of x.  The q -> 1 limit is evaluation at x = 1 of the canonical
 form; when that point is a genuine pole the limit machinery reports the
 pole order instead of a value.
+
+The q-power sums and Gaussian binomials are polynomials in x, so they are
+built as integer polynomials, each from the value before it, and wrapped
+as rational functions only when returned: the power sums by Horner's step
+f(n) = q**((m+1)/2) f(n-1) + [n]_{q^2} [n]_q**(m-1), the binomials row by
+row by the q-Pascal rule [n, k] = [n-1, k-1] + q**k [n-1, k] (Andrews,
+The Theory of Partitions, Thm 3.2).
 """
 
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from .classical import power_sum
-from .poly import ONE, Poly
-from .ratfunc import R_ONE, R_ZERO, RatFunc, monomial_q
+from .poly import ONE, ZERO, Poly
+from .ratfunc import R_ZERO, RatFunc, monomial_q
 from .records import VerificationRecord, limit_record, record_from_difference
 
 
@@ -29,6 +38,17 @@ class PoleReport:
         return f"POLE({self.order})"
 
 
+def _q_int(k: int, base_power: int) -> Poly:
+    """[k]_{q**base_power} for k >= 0 as an integer polynomial in x."""
+    coeffs = [0] * (2 * base_power * (k - 1) + 1) if k else []
+    coeffs[:: 2 * base_power] = [1] * k
+    return Poly(coeffs)
+
+
+def _last(items: Iterable):
+    return deque(items, maxlen=1)[0]
+
+
 def q_integer(k: int, base_power: int = 1) -> RatFunc:
     """[k] in base q**base_power: (q**(b*k) - 1) / (q**b - 1).
 
@@ -38,44 +58,63 @@ def q_integer(k: int, base_power: int = 1) -> RatFunc:
     if base_power < 1:
         raise ValueError("base_power must be >= 1")
     if k >= 0:
-        coeffs = [Fraction(0)] * (2 * base_power * (k - 1) + 1) if k else []
-        for i in range(k):
-            coeffs[2 * base_power * i] = Fraction(1)
-        return RatFunc(Poly(coeffs))
+        return RatFunc(_q_int(k, base_power))
     return (monomial_q(2 * base_power * k) - 1) / (monomial_q(2 * base_power) - 1)
 
 
-def q_binomial(n: int, k: int) -> RatFunc:
-    """Gaussian binomial coefficient via the product of q-integer ratios.
+def _binomial_rows(n_max: int) -> Iterator[list[Poly]]:
+    """Rows 0..n_max of the Gaussian binomial triangle, as integer polynomials.
 
-    [n choose k]_q = prod_{j=1}^{k} [n+1-j]_q / [j]_q; zero when k < 0 or
-    k > n (empty product convention for k = 0).
+    Row n is [n, 0], ..., [n, n], built from row n-1 by the q-Pascal rule
+    [n, k] = [n-1, k-1] + x**(2k) [n-1, k].
+    """
+    row = [ONE]
+    yield row
+    for n in range(1, n_max + 1):
+        inner = [row[k - 1] + Poly.monomial(2 * k) * row[k] for k in range(1, n)]
+        row = [ONE, *inner, ONE]
+        yield row
+
+
+def q_binomial(n: int, k: int) -> RatFunc:
+    """Gaussian binomial coefficient [n choose k]_q.
+
+    Taken from row n of the q-Pascal triangle, built over integer
+    polynomials; zero when k < 0 or k > n.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if k < 0 or k > n:
         return R_ZERO
-    out = R_ONE
-    for j in range(1, k + 1):
-        out = out * q_integer(n + 1 - j) / q_integer(j)
-    return out
+    return RatFunc(_last(_binomial_rows(n))[k])
+
+
+def _power_sums(m: int, n_max: int) -> Iterator[Poly]:
+    """f_{m,q}(0), ..., f_{m,q}(n_max) as integer polynomials in x.
+
+    Horner's step f(n) = x**(m+1) * f(n-1) + [n]_{q^2} * [n]_q**(m-1).
+    """
+    step = Poly.monomial(m + 1)
+    f = ZERO
+    yield f
+    for n in range(1, n_max + 1):
+        f = step * f + _q_int(n, 2) * _q_int(n, 1) ** (m - 1)
+        yield f
 
 
 def q_power_sum(m: int, n: int) -> RatFunc:
     """q-deformed power sum f_{m,q}(n).
 
     sum_{k=1}^{n} [k]_{q^2} * [k]_q**(m-1) * q**((n-k)(m+1)/2); the final
-    factor has half-integer q-exponents whenever (n-k)(m+1) is odd.
+    factor has half-integer q-exponents whenever (n-k)(m+1) is odd.  Built
+    over integer polynomials by Horner's step
+    f(n) = q**((m+1)/2) * f(n-1) + [n]_{q^2} * [n]_q**(m-1).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
-    total = R_ZERO
-    for k in range(1, n + 1):
-        term = q_integer(k, 2) * q_integer(k) ** (m - 1)
-        total = total + term * monomial_q((n - k) * (m + 1))
-    return total
+    return RatFunc(_last(_power_sums(m, n)))
 
 
 def limit_at_one(f: RatFunc) -> Fraction | PoleReport:
@@ -122,14 +161,22 @@ def garrett_hummel_check(n: int) -> VerificationRecord:
     return record_from_difference("garrett_hummel", {"n": n}, lhs - rhs)
 
 
+def _power_sum_limit(m: int, n: int, f: Poly) -> VerificationRecord:
+    """q -> 1 limit of the q-power sum f = f_{m,q}(n), a polynomial, vs sum k**m."""
+    return limit_record("q_power_sum_limit", {"m": m, "n": n}, f(1), power_sum(m, n))
+
+
+def _binomial_limit(n: int, k: int, f: Poly) -> VerificationRecord:
+    """q -> 1 limit of the polynomial f = [n choose k]_q vs binom(n, k)."""
+    classical = Fraction(comb(n, k))
+    return limit_record("q_binomial_limit", {"k": k, "n": n}, f(1), classical)
+
+
 def q_power_sum_limit_check(m: int, n: int) -> VerificationRecord:
     """q -> 1 limit of the q-power sum against the integer power sum."""
-    limit = limit_at_one(q_power_sum(m, n))
-    return limit_record("q_power_sum_limit", {"m": m, "n": n}, limit, power_sum(m, n))
+    return _power_sum_limit(m, n, q_power_sum(m, n).num)
 
 
 def q_binomial_limit_check(n: int, k: int) -> VerificationRecord:
     """q -> 1 limit of the Gaussian binomial against the binomial coefficient."""
-    limit = limit_at_one(q_binomial(n, k))
-    classical = Fraction(comb(n, k))
-    return limit_record("q_binomial_limit", {"k": k, "n": n}, limit, classical)
+    return _binomial_limit(n, k, q_binomial(n, k).num)

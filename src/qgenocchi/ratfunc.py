@@ -186,9 +186,8 @@ def _reduced(num: Poly, den: Poly) -> RatFunc:
         return R_ZERO
     if den.is_zero:
         raise ZeroDivisionError("zero denominator")
-    lc = den.leading
-    if lc != 1:
-        inv = 1 / lc
+    if den._nums[-1] != den._den:
+        inv = 1 / den.leading
         num, den = num * inv, den * inv
     out = object.__new__(RatFunc)
     out.num, out.den = num, den

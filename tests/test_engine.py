@@ -408,3 +408,30 @@ def test_g_scaling_matches_per_k_sum():
                 assert q_genocchi_number(n, k, conv).value == direct, (conv, n, k)
     with pytest.raises(ValueError):
         q_genocchi_number(1, -1, Q)
+
+
+def _alt_qsum_by_terms(n, k, conv):
+    """The defining alternating sum, term by term over rational functions."""
+    b = conv.base_power
+    total = R_ZERO
+    for j in range(k):
+        sign = 1 if j % 2 == 1 else -1
+        term = q_integer(j, 2) * q_integer(j, b) ** (n - 1) * sign
+        total = total + term * monomial_q((k - j) * (n + 1))
+    return total
+
+
+def test_alt_qsum_matches_term_sum():
+    for lhs_conv in CONVENTIONS:
+        for n in range(1, 9):
+            for k in range(0, 9):
+                want = _alt_qsum_by_terms(n, k, lhs_conv)
+                assert alt_qsum(n, k, lhs_conv) == want, (lhs_conv, n, k)
+                if k == 0:
+                    continue
+                for conv in CONVENTIONS:
+                    g = q_genocchi_number(n, k, conv).value
+                    g_shift = q_genocchi_number_shifted(n, k, conv).value
+                    diff = want - (g - g_shift) / (n * q_integer(2))
+                    got = check_alt_qsum(n, k, conv, lhs_convention=lhs_conv)
+                    assert got.witness == (diff or None), (lhs_conv, conv, n, k)

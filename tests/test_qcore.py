@@ -186,3 +186,32 @@ def test_q_power_sum_recurrence(m, n):
         n + 1
     ) ** (m - 1)
     assert lhs == rhs
+
+
+def _q_power_sum_by_terms(m, n):
+    """The defining sum, every term built and added as a rational function."""
+    total = R_ZERO
+    for k in range(1, n + 1):
+        term = q_integer(k, 2) * q_integer(k) ** (m - 1)
+        total = total + term * monomial_q((n - k) * (m + 1))
+    return total
+
+
+def test_q_power_sum_matches_term_sum():
+    for m in range(1, 7):
+        for n in range(0, 16):
+            assert q_power_sum(m, n) == _q_power_sum_by_terms(m, n), (m, n)
+
+
+def _q_binomial_by_ratios(n, k):
+    """prod_{j=1}^{k} [n+1-j]_q / [j]_q over rational functions."""
+    out = R_ONE
+    for j in range(1, k + 1):
+        out = out * q_integer(n + 1 - j) / q_integer(j)
+    return out
+
+
+def test_q_binomial_matches_ratio_product():
+    for n in range(13):
+        for k in range(n + 1):
+            assert q_binomial(n, k) == _q_binomial_by_ratios(n, k), (n, k)

@@ -25,7 +25,6 @@ import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 
 from . import __version__
 from .classical import (
@@ -53,11 +52,10 @@ from .engine import (
 )
 from .poly import DegreeLimitError, Poly, max_degree
 from .qcore import (
-    _binomial_limit,
-    _binomial_rows,
-    _power_sum_limit,
-    _power_sums,
     garrett_hummel_check,
+    q_binomial_cells,
+    q_limit_checks,
+    q_power_sum_cells,
     warnaar_check,
 )
 from .ratfunc import RatFunc, evaluate_at_q
@@ -145,12 +143,10 @@ def _eval_detail(value: RatFunc, q0: Fraction) -> str:
 
 
 def _qtable_cells(cfg: RunConfig) -> Iterator[tuple[str, dict, RatFunc]]:
-    for n, row in enumerate(_binomial_rows(cfg.n_max)):
-        for k, value in enumerate(row):
-            yield "q_binomial", {"k": k, "n": n}, RatFunc(value)
-    for m in range(1, cfg.n_max + 1):
-        for n, value in enumerate(islice(_power_sums(m, cfg.k_max), 1, None), 1):
-            yield "q_power_sum", {"m": m, "n": n}, RatFunc(value)
+    for n, k, value in q_binomial_cells(cfg.n_max):
+        yield "q_binomial", {"k": k, "n": n}, RatFunc(value)
+    for m, n, value in q_power_sum_cells(cfg.n_max, cfg.k_max):
+        yield "q_power_sum", {"m": m, "n": n}, RatFunc(value)
 
 
 def _qtable_records(cfg: RunConfig) -> list[VerificationRecord]:
@@ -164,14 +160,7 @@ def _qtable_records(cfg: RunConfig) -> list[VerificationRecord]:
 
 
 def _limits_records(cfg: RunConfig) -> list[VerificationRecord]:
-    out = []
-    for m in range(1, cfg.n_max + 1):
-        for n, value in enumerate(islice(_power_sums(m, cfg.k_max), 1, None), 1):
-            out.append(_power_sum_limit(m, n, value))
-    for n, row in enumerate(_binomial_rows(cfg.n_max)):
-        for k, value in enumerate(row):
-            out.append(_binomial_limit(n, k, value))
-    return out
+    return list(q_limit_checks(cfg.n_max, cfg.k_max))
 
 
 def _random_exp_terms(rng: random.Random) -> tuple[ExpTerm, ...]:

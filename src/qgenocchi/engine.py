@@ -35,7 +35,7 @@ from typing import Iterable, Literal
 
 from .classical import order_r_genocchi
 from .poly import ZERO, Poly
-from .qcore import _q_int, limit_at_one, q_integer
+from .qcore import limit_at_one, q_integer, q_integer_poly
 from .ratfunc import R_ZERO, RatFunc, monomial_q
 from .records import VerificationRecord, limit_record, record_from_difference
 
@@ -222,7 +222,7 @@ def alt_qsum(n: int, k: int, conv: Convention) -> RatFunc:
     step = Poly.monomial(n + 1)
     total = ZERO
     for j in range(k):
-        term = _q_int(j, 2) * _q_int(j, b) ** (n - 1)
+        term = q_integer_poly(j, 2) * q_integer_poly(j, b) ** (n - 1)
         total = step * (total + term if j % 2 == 1 else total - term)
     return RatFunc(total)
 

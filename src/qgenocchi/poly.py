@@ -110,6 +110,10 @@ class Poly:
         return not self._nums
 
     @property
+    def is_monic(self) -> bool:
+        return bool(self._nums) and self._nums[-1] == self._den
+
+    @property
     def leading(self) -> Fraction:
         return Fraction(self._nums[-1], self._den) if self._nums else Fraction(0)
 

@@ -11,7 +11,8 @@ built as integer polynomials, each from the value before it, and wrapped
 as rational functions only when returned: the power sums by Horner's step
 f(n) = q**((m+1)/2) f(n-1) + [n]_{q^2} [n]_q**(m-1), the binomials row by
 row by the q-Pascal rule [n, k] = [n-1, k-1] + q**k [n-1, k] (Andrews,
-The Theory of Partitions, Thm 3.2).
+The Theory of Partitions, Thm 3.2).  `q_binomial_cells` and
+`q_power_sum_cells` walk whole grids of them, one step per cell.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import comb
 
 from .classical import power_sum
@@ -38,7 +40,7 @@ class PoleReport:
         return f"POLE({self.order})"
 
 
-def _q_int(k: int, base_power: int) -> Poly:
+def q_integer_poly(k: int, base_power: int = 1) -> Poly:
     """[k]_{q**base_power} for k >= 0 as an integer polynomial in x."""
     coeffs = [0] * (2 * base_power * (k - 1) + 1) if k else []
     coeffs[:: 2 * base_power] = [1] * k
@@ -58,35 +60,49 @@ def q_integer(k: int, base_power: int = 1) -> RatFunc:
     if base_power < 1:
         raise ValueError("base_power must be >= 1")
     if k >= 0:
-        return RatFunc(_q_int(k, base_power))
+        return RatFunc(q_integer_poly(k, base_power))
     return (monomial_q(2 * base_power * k) - 1) / (monomial_q(2 * base_power) - 1)
 
 
-def _binomial_rows(n_max: int) -> Iterator[list[Poly]]:
+def _binomial_rows(n_max: int, k_max: int | None = None) -> Iterator[list[Poly]]:
     """Rows 0..n_max of the Gaussian binomial triangle, as integer polynomials.
 
-    Row n is [n, 0], ..., [n, n], built from row n-1 by the q-Pascal rule
-    [n, k] = [n-1, k-1] + x**(2k) [n-1, k].
+    Row n is [n, 0], ..., [n, min(n, k_max)] (all of row n when k_max is
+    None), built from row n-1 by the q-Pascal rule
+    [n, k] = [n-1, k-1] + x**(2k) [n-1, k].  Column k needs only columns
+    <= k of the row before, so a bounded walk never builds a cell of higher
+    degree than [n_max, k_max] when 2 k_max <= n_max.
     """
+    width = n_max if k_max is None else k_max
     row = [ONE]
     yield row
     for n in range(1, n_max + 1):
-        inner = [row[k - 1] + Poly.monomial(2 * k) * row[k] for k in range(1, n)]
-        row = [ONE, *inner, ONE]
+        top = min(n, width + 1)
+        inner = [row[k - 1] + Poly.monomial(2 * k) * row[k] for k in range(1, top)]
+        row = [ONE, *inner, ONE] if n <= width else [ONE, *inner]
         yield row
+
+
+def q_binomial_cells(n_max: int) -> Iterator[tuple[int, int, Poly]]:
+    """(n, k, [n choose k]_q) for 0 <= k <= n <= n_max, row by row."""
+    for n, row in enumerate(_binomial_rows(n_max)):
+        for k, value in enumerate(row):
+            yield n, k, value
 
 
 def q_binomial(n: int, k: int) -> RatFunc:
     """Gaussian binomial coefficient [n choose k]_q.
 
     Taken from row n of the q-Pascal triangle, built over integer
-    polynomials; zero when k < 0 or k > n.
+    polynomials; zero when k < 0 or k > n.  By the symmetry
+    [n, k] = [n, n-k] only columns 0..min(k, n-k) are built.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if k < 0 or k > n:
         return R_ZERO
-    return RatFunc(_last(_binomial_rows(n))[k])
+    k = min(k, n - k)
+    return RatFunc(_last(_binomial_rows(n, k))[k])
 
 
 def _power_sums(m: int, n_max: int) -> Iterator[Poly]:
@@ -98,8 +114,15 @@ def _power_sums(m: int, n_max: int) -> Iterator[Poly]:
     f = ZERO
     yield f
     for n in range(1, n_max + 1):
-        f = step * f + _q_int(n, 2) * _q_int(n, 1) ** (m - 1)
+        f = step * f + q_integer_poly(n, 2) * q_integer_poly(n) ** (m - 1)
         yield f
+
+
+def q_power_sum_cells(m_max: int, n_max: int) -> Iterator[tuple[int, int, Poly]]:
+    """(m, n, f_{m,q}(n)) for 1 <= m <= m_max and 1 <= n <= n_max, m by m."""
+    for m in range(1, m_max + 1):
+        for n, value in enumerate(islice(_power_sums(m, n_max), 1, None), 1):
+            yield m, n, value
 
 
 def q_power_sum(m: int, n: int) -> RatFunc:
@@ -170,6 +193,15 @@ def _binomial_limit(n: int, k: int, f: Poly) -> VerificationRecord:
     """q -> 1 limit of the polynomial f = [n choose k]_q vs binom(n, k)."""
     classical = Fraction(comb(n, k))
     return limit_record("q_binomial_limit", {"k": k, "n": n}, f(1), classical)
+
+
+def q_limit_checks(m_max: int, n_max: int) -> Iterator[VerificationRecord]:
+    """The q -> 1 limit checks of f_{m,q}(n) for 1 <= m <= m_max and
+    1 <= n <= n_max, then of [n choose k]_q for 0 <= k <= n <= m_max."""
+    for m, n, f in q_power_sum_cells(m_max, n_max):
+        yield _power_sum_limit(m, n, f)
+    for n, k, f in q_binomial_cells(m_max):
+        yield _binomial_limit(n, k, f)
 
 
 def q_power_sum_limit_check(m: int, n: int) -> VerificationRecord:

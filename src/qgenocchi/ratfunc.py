@@ -186,7 +186,7 @@ def _reduced(num: Poly, den: Poly) -> RatFunc:
         return R_ZERO
     if den.is_zero:
         raise ZeroDivisionError("zero denominator")
-    if den._nums[-1] != den._den:
+    if not den.is_monic:
         inv = 1 / den.leading
         num, den = num * inv, den * inv
     out = object.__new__(RatFunc)

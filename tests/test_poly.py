@@ -95,6 +95,10 @@ def test_monic():
     assert Poly([2, 4]).monic() == Poly([Fraction(1, 2), 1])
     with pytest.raises(ValueError):
         ZERO.monic()
+    assert Poly([2, 4]).monic().is_monic
+    assert Poly([Fraction(2, 3), Fraction(1, 3)]).is_monic is False
+    assert Poly([Fraction(1, 3), 1]).is_monic
+    assert ZERO.is_monic is False
 
 
 def test_degree_cap_env():

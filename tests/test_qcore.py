@@ -5,15 +5,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qgenocchi.poly import ONE, Poly
+from qgenocchi.poly import DEFAULT_MAX_DEGREE, ONE, Poly, max_degree
 from qgenocchi.qcore import (
     PoleReport,
     garrett_hummel_check,
     limit_at_one,
     q_binomial,
+    q_binomial_cells,
     q_binomial_limit_check,
     q_integer,
+    q_limit_checks,
     q_power_sum,
+    q_power_sum_cells,
     q_power_sum_limit_check,
     warnaar_check,
 )
@@ -212,6 +215,30 @@ def _q_binomial_by_ratios(n, k):
 
 
 def test_q_binomial_matches_ratio_product():
-    for n in range(13):
+    for n in range(21):
         for k in range(n + 1):
             assert q_binomial(n, k) == _q_binomial_by_ratios(n, k), (n, k)
+
+
+def test_q_binomial_narrow_cell_of_wide_row():
+    # [150, 2] has x-degree 592; the middle cell of row 150 has 11250, above
+    # the default degree cap, so only the columns up to min(k, n - k) are built.
+    assert max_degree() == DEFAULT_MAX_DEGREE
+    for k in (2, 148):
+        f = q_binomial(150, k)
+        assert f.num.degree == 592
+        assert f == _q_binomial_by_ratios(150, 2)
+        assert limit_at_one(f) == comb(150, 2)
+    assert warnaar_check(141).passed
+
+
+def test_grid_cells_match_single_cells():
+    assert list(q_binomial_cells(6)) == [
+        (n, k, q_binomial(n, k).num) for n in range(7) for k in range(n + 1)
+    ]
+    assert list(q_power_sum_cells(3, 5)) == [
+        (m, n, q_power_sum(m, n).num) for m in range(1, 4) for n in range(1, 6)
+    ]
+    assert list(q_limit_checks(3, 5)) == [
+        q_power_sum_limit_check(m, n) for m in range(1, 4) for n in range(1, 6)
+    ] + [q_binomial_limit_check(n, k) for n in range(4) for k in range(n + 1)]

@@ -17,14 +17,14 @@ comparisons) never affect the exit code.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
+import os
 import random
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import __version__
 from .classical import (
@@ -94,8 +94,7 @@ SHIFT_LAW_SEED = 271828
 NUMBERS_MAX_N = 1000
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str
     n_max: int
     k_max: int
@@ -190,13 +189,12 @@ def shift_law_record(
     for _ in range(trials):
         terms = _random_exp_terms(rng)
         k = rng.randint(0, max_shift)
-        diff = fermionic_sum(shift_terms(terms, k)) - (
-            fermionic_sum(terms) - partial_sum(terms, k)
-        )
-        if not diff.is_zero:
+        lhs = fermionic_sum(shift_terms(terms, k))
+        rhs = fermionic_sum(terms) - partial_sum(terms, k)
+        if lhs != rhs:
             failures += 1
             if witness is None:
-                witness = diff
+                witness = lhs - rhs
     record = record_from_difference(
         "shift_law",
         {"trials": trials, "max_shift": max_shift},
@@ -294,6 +292,8 @@ def render_report(report: dict, fmt: str) -> str:
     columns = _CSV_COLUMNS[command]
     if command == "qtable" and report["config"]["q_eval"] is None:
         columns = columns[:-1]
+    import csv  # only --format csv needs it; kept off the start-up path
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
@@ -365,6 +365,21 @@ def config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) 
     )
 
 
+def _write_report(text: str, out_path: str | None) -> None:
+    if out_path is not None:
+        with open(out_path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        return
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError:
+        # Point fd 1 at the null device: the interpreter flushes stdout again
+        # at exit, and that flush must not fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         max_degree()
@@ -379,16 +394,11 @@ def main(argv: list[str] | None = None) -> int:
     except DegreeLimitError as exc:
         print(f"qgenocchi: {exc}", file=sys.stderr)
         return 4
-    text = render_report(report, cfg.format)
-    if cfg.out_path is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(cfg.out_path, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
-        except OSError as exc:
-            print(f"qgenocchi: cannot write report: {exc}", file=sys.stderr)
-            return 3
+    try:
+        _write_report(render_report(report, cfg.format), cfg.out_path)
+    except OSError as exc:
+        print(f"qgenocchi: cannot write report: {exc}", file=sys.stderr)
+        return 3
     return exit_code_for(report)
 
 

@@ -27,11 +27,10 @@ Convention flag and every check reports per convention.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Literal
+from typing import Iterable, Literal, NamedTuple
 
 from .classical import order_r_genocchi
 from .poly import ZERO, Poly
@@ -63,16 +62,14 @@ class Convention(enum.Enum):
 CONVENTIONS = (Convention.Q, Convention.Q2)
 
 
-@dataclass(frozen=True)
-class ExpTerm:
+class ExpTerm(NamedTuple):
     """coeff * q**(beta2/2 * j), summed over j with implicit sign (-1)**(j-1)."""
 
     coeff: RatFunc
     beta2: int
 
 
-@dataclass(frozen=True)
-class QGenocchiValue:
+class QGenocchiValue(NamedTuple):
     """One regularized coefficient: the exact value of G or G_shift."""
 
     n: int

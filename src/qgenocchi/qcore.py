@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import comb
+from typing import NamedTuple
 
 from .classical import power_sum
 from .poly import ONE, ZERO, Poly
@@ -30,8 +30,7 @@ from .ratfunc import R_ZERO, RatFunc, monomial_q
 from .records import VerificationRecord, limit_record, record_from_difference
 
 
-@dataclass(frozen=True)
-class PoleReport:
+class PoleReport(NamedTuple):
     """A q -> 1 limit does not exist: the denominator vanishes to this order."""
 
     order: int

@@ -10,9 +10,10 @@ lists "num=[...];den=[...]".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Union
+from types import MappingProxyType
+from typing import NamedTuple, Union
 
 from .poly import Poly
 from .ratfunc import RatFunc
@@ -40,8 +41,7 @@ def ratfunc_str(f: RatFunc) -> str:
     return f"num={_coeff_list(f.num)};den={_coeff_list(f.den)}"
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
+class VerificationRecord(NamedTuple):
     """Outcome of one exact identity check."""
 
     identity: str
@@ -49,7 +49,7 @@ class VerificationRecord:
     convention: str | None = None
     status: str = PASS
     witness: Witness | None = None
-    details: dict = field(default_factory=dict)
+    details: Mapping[str, str] = MappingProxyType({})
 
     @property
     def passed(self) -> bool:

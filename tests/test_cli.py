@@ -1,11 +1,15 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import qgenocchi
+from qgenocchi import RatFunc, cli
 from qgenocchi.cli import (
     HARD_IDENTITIES,
     NUMBERS_MAX_N,
@@ -148,6 +152,17 @@ def test_shift_law_record_shape():
     assert rec.details["seed"] == "271828"
 
 
+def test_shift_law_failure_keeps_first_witness(monkeypatch):
+    # Off by one on the finite partial sum: every trial fails and the first
+    # trial's difference lhs - rhs is exactly the constant 1.
+    partial_sum = cli.partial_sum
+    monkeypatch.setattr(cli, "partial_sum", lambda terms, k: partial_sum(terms, k) + 1)
+    rec = shift_law_record()
+    assert rec.status == "FAIL"
+    assert rec.details["failures"] == str(SHIFT_LAW_TRIALS) == "200"
+    assert rec.witness == RatFunc(1)
+
+
 def test_bad_flags_exit_two():
     for argv in (
         ["verify", "--nmax", "0"],
@@ -169,6 +184,26 @@ def test_unwritable_out_path_exits_three(capsys):
     assert code == 3
     assert out == ""
     assert "cannot write" in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("nmax", ["2", "200"])
+def test_failed_stdout_write_exits_three(nmax):
+    # With stdout buffered (PYTHONUNBUFFERED unset), a small report fails
+    # only on the flush and a large one already on write.
+    src = str(Path(qgenocchi.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "qgenocchi", "numbers", "--nmax", nmax],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**env, "PYTHONPATH": src},
+        )
+    assert done.returncode == 3
+    assert done.stderr.startswith("qgenocchi: cannot write report: ")
+    assert done.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("value", ["abc", "0"])

@@ -128,6 +128,9 @@ class Poly:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # A constant equals its number, so it must hash as that number.
+        if len(self._nums) < 2:
+            return hash(self.leading)
         return hash((self._nums, self._den))
 
     def __neg__(self) -> "Poly":

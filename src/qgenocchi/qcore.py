@@ -41,6 +41,8 @@ class PoleReport(NamedTuple):
 
 def q_integer_poly(k: int, base_power: int = 1) -> Poly:
     """[k]_{q**base_power} for k >= 0 as an integer polynomial in x."""
+    if k < 0 or base_power < 1:
+        raise ValueError("q_integer_poly needs k >= 0 and base_power >= 1")
     coeffs = [0] * (2 * base_power * (k - 1) + 1) if k else []
     coeffs[:: 2 * base_power] = [1] * k
     return Poly(coeffs)

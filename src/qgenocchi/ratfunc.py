@@ -66,6 +66,9 @@ class RatFunc:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # Over denominator 1 the value equals its numerator, so hash as it.
+        if self.den == ONE:
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def __neg__(self) -> "RatFunc":

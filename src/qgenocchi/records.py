@@ -65,7 +65,7 @@ class VerificationRecord(NamedTuple):
     def to_dict(self) -> dict:
         out = {
             "identity": self.identity,
-            "params": dict(sorted(self.params.items())),
+            "params": dict(self.params),
             "convention": self.convention,
             "status": self.status,
         }
@@ -74,7 +74,7 @@ class VerificationRecord(NamedTuple):
         elif self.witness is not None:
             out["witness"] = frac_str(self.witness)
         if self.details:
-            out["details"] = {k: self.details[k] for k in sorted(self.details)}
+            out["details"] = dict(self.details)
         return out
 
 
@@ -86,12 +86,9 @@ def record_from_difference(
     details: dict | None = None,
 ) -> VerificationRecord:
     """PASS iff the exact difference is zero; FAIL carries it as the witness."""
-    if not difference:
-        return VerificationRecord(
-            identity, dict(params), convention, PASS, None, dict(details or {})
-        )
+    status, witness = (FAIL, difference) if difference else (PASS, None)
     return VerificationRecord(
-        identity, dict(params), convention, FAIL, difference, dict(details or {})
+        identity, dict(params), convention, status, witness, dict(details or {})
     )
 
 

@@ -35,10 +35,12 @@ print(" ".join(sorted(set(sys.modules) - before)))
 """
 
 
-def test_version_path_imports_no_heavy_module():
+def _startup_modules(*flags: str) -> set[str]:
+    """Modules `import qgenocchi.cli` plus `main(["--version"])` loads in a
+    fresh interpreter started with `flags`."""
     src = str(Path(qgenocchi.__file__).resolve().parents[1])
     done = subprocess.run(
-        [sys.executable, "-c", PROBE],
+        [sys.executable, *flags, "-c", PROBE],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
@@ -48,7 +50,18 @@ def test_version_path_imports_no_heavy_module():
     assert lines[0] == qgenocchi.__version__
     loaded = set(lines[-1].split())
     assert "qgenocchi.cli" in loaded
-    assert not loaded & HEAVY_MODULES
+    return loaded
+
+
+def test_version_path_imports_no_heavy_module():
+    assert not _startup_modules() & HEAVY_MODULES
+
+
+def test_version_path_without_site_imports_no_random():
+    # Site start-up can load `random` itself (a `.pth` file importing
+    # `tempfile` does), which hides it from the probe above; under -S every
+    # module the package pulls in shows.  Only `verify` needs `random`.
+    assert not _startup_modules("-S") & (HEAVY_MODULES | {"random"})
 
 
 # Each value next to its repr as the former frozen dataclasses printed it.

@@ -14,6 +14,7 @@ from qgenocchi.qcore import (
     q_binomial_cells,
     q_binomial_limit_check,
     q_integer,
+    q_integer_poly,
     q_limit_checks,
     q_power_sum,
     q_power_sum_cells,
@@ -42,6 +43,14 @@ def test_q_integer_other_base():
     assert q_integer(2, 2) == RatFunc(Poly([1, 0, 0, 0, 1]))
     with pytest.raises(ValueError):
         q_integer(3, 0)
+
+
+def test_q_integer_poly_rejects_what_is_no_polynomial():
+    assert RatFunc(q_integer_poly(3, 2)) == q_integer(3, 2)
+    # [-1]_q = -1/q is no polynomial, and base q**0 has no [k] at all.
+    for k, base_power in ((-1, 1), (-3, 2), (2, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            q_integer_poly(k, base_power)
 
 
 def test_q_integer_additivity():

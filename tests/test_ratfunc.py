@@ -146,6 +146,22 @@ def test_eval_is_additive(a, b):
     assert lhs == va + vb
 
 
+def test_equal_values_hash_equal():
+    p = Poly([1, 1])
+    assert len({1, Poly([1]), RatFunc(1)}) == 1
+    assert len({p, RatFunc(p)}) == 1
+    c = Fraction(-2, 3)
+    assert len({c, Poly([c]), RatFunc(c)}) == 1
+    assert len({0, Poly([]), R_ZERO}) == 1
+
+
+@given(polys)
+def test_hash_follows_equality(p):
+    equals = [RatFunc(p)] + ([p.leading] if p.degree < 1 else [])
+    for value in equals:
+        assert value == p and hash(value) == hash(p)
+
+
 @given(ratfuncs)
 def test_canonical_invariants(a):
     assert a.den.leading == 1

@@ -21,8 +21,9 @@ import io
 import json
 import os
 import sys
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple
 
 from . import __version__
@@ -114,46 +115,35 @@ class RunConfig(NamedTuple):
         }
 
 
-def _numbers_records(cfg: RunConfig) -> list[VerificationRecord]:
-    out = []
-    tables = [
-        ("B", bernoulli_numbers(cfg.n_max)),
-        ("E", euler_numbers(cfg.n_max)),
-        ("G", genocchi_numbers(cfg.n_max)),
-        ("G^(2)", order_r_genocchi(2, cfg.n_max)),
-    ]
-    for kind, table in tables:
-        for i in range(cfg.n_max + 1):
-            out.append(VerificationRecord(kind, {"n": i}, details={"value": frac_str(table[i])}))
-    return out
+def _numbers_records(cfg: RunConfig) -> Iterator[VerificationRecord]:
+    tables = (
+        bernoulli_numbers(cfg.n_max),
+        euler_numbers(cfg.n_max),
+        genocchi_numbers(cfg.n_max),
+        order_r_genocchi(2, cfg.n_max),
+    )
+    for table in tables:
+        for i, value in enumerate(table):
+            yield VerificationRecord(table.kind, {"n": i}, details={"value": frac_str(value)})
 
 
-def _eval_detail(value: RatFunc, q0: Fraction) -> str:
-    try:
-        return frac_str(evaluate_at_q(value, q0))
-    except ValueError:
-        return "REQUIRES-SQUARE-Q"
-
-
-def _qtable_cells(cfg: RunConfig) -> Iterator[tuple[str, dict, RatFunc]]:
-    for n, k, value in q_binomial_cells(cfg.n_max):
-        yield "q_binomial", {"k": k, "n": n}, RatFunc(value)
-    for m, n, value in q_power_sum_cells(cfg.n_max, cfg.k_max):
-        yield "q_power_sum", {"m": m, "n": n}, RatFunc(value)
-
-
-def _qtable_records(cfg: RunConfig) -> list[VerificationRecord]:
-    out = []
-    for identity, params, value in _qtable_cells(cfg):
+def _qtable_records(cfg: RunConfig) -> Iterator[VerificationRecord]:
+    cells = chain(
+        (("q_binomial", {"k": k, "n": n}, f) for n, k, f in q_binomial_cells(cfg.n_max)),
+        (
+            ("q_power_sum", {"m": m, "n": n}, f)
+            for m, n, f in q_power_sum_cells(cfg.n_max, cfg.k_max)
+        ),
+    )
+    for identity, params, f in cells:
+        value = RatFunc(f)
         details = {"value": ratfunc_str(value)}
         if cfg.q_eval is not None:
-            details["value_at_q"] = _eval_detail(value, cfg.q_eval)
-        out.append(VerificationRecord(identity, params, details=details))
-    return out
-
-
-def _limits_records(cfg: RunConfig) -> list[VerificationRecord]:
-    return list(q_limit_checks(cfg.n_max, cfg.k_max))
+            try:
+                details["value_at_q"] = frac_str(evaluate_at_q(value, cfg.q_eval))
+            except ValueError:  # a half-integer power of q at a non-square q
+                details["value_at_q"] = "REQUIRES-SQUARE-Q"
+        yield VerificationRecord(identity, params, details=details)
 
 
 def _random_exp_terms(rng) -> tuple[ExpTerm, ...]:
@@ -195,42 +185,64 @@ def shift_law_record() -> VerificationRecord:
     )
 
 
-def _verify_records(cfg: RunConfig) -> list[VerificationRecord]:
-    out = []
+def _verify_records(cfg: RunConfig) -> Iterator[VerificationRecord]:
     for n in range(1, cfg.n_max + 1):
-        out.append(warnaar_check(n))
-        out.append(garrett_hummel_check(n))
+        yield warnaar_check(n)
+        yield garrett_hummel_check(n)
     for n in range(1, cfg.n_max + 1):
         for k in range(1, cfg.k_max + 1):
             diff = faulhaber_sum(n, k) - power_sum(n, k - 1)
-            out.append(record_from_difference("faulhaber", {"k": k, "n": n}, diff))
+            yield record_from_difference("faulhaber", {"k": k, "n": n}, diff)
     for k in range(1, cfg.n_max + 1):
         for n in range(2, cfg.k_max + 1):
             diff = alt_power_sum_via_euler(k, n) - alt_power_sum(k, n)
-            out.append(record_from_difference("alt_power_sum", {"k": k, "n": n}, diff))
-            out.append(alt_sum_formula_check(k, n))
-            out.append(alt_sum_formula_check(k, n, transposed=True))
+            yield record_from_difference("alt_power_sum", {"k": k, "n": n}, diff)
+            yield alt_sum_formula_check(k, n)
+            yield alt_sum_formula_check(k, n, transposed=True)
     for conv in cfg.conventions:
         for n in range(1, cfg.n_max + 1):
             for k in range(1, cfg.k_max + 1):
-                out.append(check_alt_qsum(n, k, conv))
-                out.append(check_closed_form_g(n, k, conv))
-                out.append(check_closed_form_g_shift(n, k, conv))
-                out.extend(classical_limit_check(n, k, conv))
-    out.append(shift_law_record())
-    return out
+                yield check_alt_qsum(n, k, conv)
+                yield check_closed_form_g(n, k, conv)
+                yield check_closed_form_g_shift(n, k, conv)
+                yield from classical_limit_check(n, k, conv)
+    yield shift_law_record()
 
 
-_BUILDERS = {
-    "numbers": _numbers_records,
-    "qtable": _qtable_records,
-    "limits": _limits_records,
-    "verify": _verify_records,
+class _Subcommand(NamedTuple):
+    help: str
+    records: Callable[[RunConfig], Iterable[VerificationRecord]]
+    csv_columns: tuple[str, ...]
+
+
+# The subcommands in `--help` order.  Builders look up what they call at
+# call time, so a wrapper set on a module global (perfbench's tracer) sees it.
+_SUBCOMMANDS = {
+    "numbers": _Subcommand(
+        "classical Bernoulli/Euler/Genocchi tables",
+        _numbers_records,
+        ("identity", "index", "value"),
+    ),
+    "qtable": _Subcommand(
+        "q-binomial and q-power-sum tables",
+        _qtable_records,
+        ("identity", "params", "value", "value_at_q"),
+    ),
+    "verify": _Subcommand(
+        "run the full identity grid",
+        _verify_records,
+        ("identity", "params", "convention", "status", "witness"),
+    ),
+    "limits": _Subcommand(
+        "q -> 1 limit checks with pole flags",
+        lambda cfg: q_limit_checks(cfg.n_max, cfg.k_max),
+        ("identity", "params", "limit", "classical", "status"),
+    ),
 }
 
 
 def build_report(cfg: RunConfig) -> dict:
-    records = sorted(_BUILDERS[cfg.command](cfg), key=VerificationRecord.sort_key)
+    records = sorted(_SUBCOMMANDS[cfg.command].records(cfg), key=VerificationRecord.sort_key)
     summary: dict[str, dict[str, int]] = {}
     for rec in records:
         bucket = summary.setdefault(rec.identity, {"PASS": 0, "FAIL": 0})
@@ -254,14 +266,6 @@ def _params_compact(params: dict) -> str:
     return ";".join(f"{k}={v}" for k, v in sorted(params.items()))
 
 
-_CSV_COLUMNS = {
-    "numbers": ["identity", "index", "value"],
-    "qtable": ["identity", "params", "value", "value_at_q"],
-    "limits": ["identity", "params", "limit", "classical", "status"],
-    "verify": ["identity", "params", "convention", "status", "witness"],
-}
-
-
 _CSV_CELLS = {
     "identity": lambda rec: rec["identity"],
     "index": lambda rec: rec["params"]["n"],
@@ -280,7 +284,7 @@ def render_report(report: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report, sort_keys=True, indent=2) + "\n"
     command = report["config"]["command"]
-    columns = _CSV_COLUMNS[command]
+    columns = _SUBCOMMANDS[command].csv_columns
     if command == "qtable" and report["config"]["q_eval"] is None:
         columns = columns[:-1]
     import csv  # only --format csv needs it; kept off the start-up path
@@ -307,13 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("numbers", "classical Bernoulli/Euler/Genocchi tables"),
-        ("qtable", "q-binomial and q-power-sum tables"),
-        ("verify", "run the full identity grid"),
-        ("limits", "q -> 1 limit checks with pole flags"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
+    for name, subcommand in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=subcommand.help)
         p.add_argument("--nmax", type=int, default=8, help="first grid bound")
         p.add_argument("--kmax", type=int, default=8, help="second grid bound")
         p.add_argument(

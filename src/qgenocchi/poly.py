@@ -285,8 +285,9 @@ def gcd(a: Poly, b: Poly) -> Poly:
     Powers of x are split off first: with v(p) the power of x dividing p,
     gcd(a, b) = x**min(v(a), v(b)) * gcd(a / x**v(a), b / x**v(b)).  A
     constant cofactor (a or b a monomial) ends there; otherwise the
-    cofactors' gcd comes from the subresultant remainder sequence.  Raises
-    ValueError when both arguments are zero.
+    cofactors' gcd comes from the primitive remainder sequence (Brown,
+    J. ACM 18, 1971): each pseudo-remainder is divided by its integer
+    content.  Raises ValueError when both arguments are zero.
     """
     if a.is_zero and b.is_zero:
         raise ValueError("gcd undefined for two zero polynomials")
@@ -300,19 +301,10 @@ def gcd(a: Poly, b: Poly) -> Poly:
     u, v = u[vu:], v[vv:]
     if len(u) < len(v):
         u, v = v, u
-    g, h = 1, 1
     while len(v) > 1:
-        delta = len(u) - len(v)
-        _, r, e = _pseudo_divmod(u, v)
+        _, r, _ = _pseudo_divmod(u, v)
         if not r:
             return _make(shift + list(v), v[-1])
-        # Complete r to the full pseudo-remainder lc**(delta+1) * u mod v,
-        # then divide out the subresultant factor g * h**delta exactly.
-        m, d = v[-1] ** (delta + 1 - e), g * h**delta
-        u, v = v, [c * m // d for c in r]
-        g = u[-1]
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h = g**delta // h ** (delta - 1)
+        content = _igcd(*r)
+        u, v = v, [c // content for c in r]
     return _make(shift + [1], 1)

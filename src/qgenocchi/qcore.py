@@ -65,28 +65,26 @@ def q_integer(k: int, base_power: int = 1) -> RatFunc:
     return (monomial_q(2 * base_power * k) - 1) / (monomial_q(2 * base_power) - 1)
 
 
-def _binomial_rows(n_max: int, k_max: int | None = None) -> Iterator[list[Poly]]:
+def _binomial_rows(n_max: int, k_max: int) -> Iterator[list[Poly]]:
     """Rows 0..n_max of the Gaussian binomial triangle, as integer polynomials.
 
-    Row n is [n, 0], ..., [n, min(n, k_max)] (all of row n when k_max is
-    None), built from row n-1 by the q-Pascal rule
-    [n, k] = [n-1, k-1] + x**(2k) [n-1, k].  Column k needs only columns
-    <= k of the row before, so a bounded walk never builds a cell of higher
-    degree than [n_max, k_max] when 2 k_max <= n_max.
+    Row n is [n, 0], ..., [n, min(n, k_max)], built from row n-1 by the
+    q-Pascal rule [n, k] = [n-1, k-1] + x**(2k) [n-1, k].  Column k needs
+    only columns <= k of the row before, so a bounded walk never builds a
+    cell of higher degree than [n_max, k_max] when 2 k_max <= n_max.
     """
-    width = n_max if k_max is None else k_max
     row = [ONE]
     yield row
     for n in range(1, n_max + 1):
-        top = min(n, width + 1)
+        top = min(n, k_max + 1)
         inner = [row[k - 1] + Poly.monomial(2 * k) * row[k] for k in range(1, top)]
-        row = [ONE, *inner, ONE] if n <= width else [ONE, *inner]
+        row = [ONE, *inner, ONE] if n <= k_max else [ONE, *inner]
         yield row
 
 
 def q_binomial_cells(n_max: int) -> Iterator[tuple[int, int, Poly]]:
     """(n, k, [n choose k]_q) for 0 <= k <= n <= n_max, row by row."""
-    for n, row in enumerate(_binomial_rows(n_max)):
+    for n, row in enumerate(_binomial_rows(n_max, n_max)):
         for k, value in enumerate(row):
             yield n, k, value
 

@@ -282,6 +282,22 @@ def test_parser_defaults():
     assert args.q is None and args.out is None
 
 
+def test_parser_lists_subcommands_in_order_with_help(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")  # no wrapping of the help lines
+    parser = build_parser()
+    text = parser.format_help()
+    assert "{numbers,qtable,verify,limits}" in text
+    rows = [line.split(None, 1) for line in text.splitlines() if line.startswith("    ")]
+    assert rows == [
+        ["numbers", "classical Bernoulli/Euler/Genocchi tables"],
+        ["qtable", "q-binomial and q-power-sum tables"],
+        ["verify", "run the full identity grid"],
+        ["limits", "q -> 1 limit checks with pole flags"],
+    ]
+    for name, _ in rows:
+        assert parser.parse_args([name]).command == name
+
+
 # sha256 of each report, recorded at version 0.1.0.  A refactor must leave
 # every one unchanged; a deliberate change to report bytes updates them.
 REPORT_DIGESTS = {

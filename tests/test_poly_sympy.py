@@ -136,3 +136,53 @@ def test_gcd_zero_operand(p, a):
     p = times_x(p, a)
     assert_gcd_and_cancel_match_sympy(Poly(), p)
     assert_gcd_and_cancel_match_sympy(p, Poly())
+
+
+# Operands of the kind `verify` feeds gcd: products of powers of x**a + 1 and
+# x**a - 1 (q-brackets and the regularized denominators 1 + q**beta), of
+# degree 20..80, where the coefficients of a remainder sequence grow.  Each
+# factor is (a, sign, multiplicity).  x**a + 1 and x**b + 1 share a factor
+# exactly when a and b hold the same power of 2, and x**a + 1 and x**b - 1
+# exactly when b holds the higher one.
+BRACKET_PAIRS = {
+    "shared-x2-1": (
+        [(2, -1, 4), (3, 1, 2), (5, 1, 1), (4, 1, 1)],
+        [(2, -1, 2), (6, -1, 1), (7, 1, 3)],
+        True,
+    ),
+    "coprime-odd-vs-even": (
+        [(9, 1, 1), (15, 1, 1), (5, 1, 2), (3, 1, 1)],
+        [(10, 1, 1), (6, 1, 2), (14, 1, 1), (2, 1, 3), (11, -1, 1)],
+        False,
+    ),
+    "shared-multiplicities": (
+        [(2, -1, 8), (4, 1, 4), (12, -1, 2)],
+        [(2, -1, 5), (4, 1, 6), (8, 1, 1), (18, -1, 1)],
+        True,
+    ),
+    "coprime-degree-64": (
+        [(21, 1, 1), (15, 1, 2), (7, -1, 2)],
+        [(20, 1, 2), (12, 1, 1), (4, 1, 3)],
+        False,
+    ),
+}
+
+
+def bracket_product(factors) -> Poly:
+    p = Poly([1])
+    for a, sign, mult in factors:
+        p = p * (Poly.monomial(a) + sign) ** mult
+    return p
+
+
+@pytest.mark.parametrize("name", sorted(BRACKET_PAIRS))
+def test_gcd_of_bracket_products_matches_sympy(name):
+    fa, fb, shared = BRACKET_PAIRS[name]
+    # Integer content and a rational scale ride along, as in RatFunc sums.
+    a, b = 6 * bracket_product(fa), Fraction(-5, 3) * bracket_product(fb)
+    assert 20 <= min(a.degree, b.degree) and max(a.degree, b.degree) <= 80
+    g = gcd(a, b)
+    assert to_sympy(g) == to_sympy(a).gcd(to_sympy(b))
+    assert gcd(b, a) == g and g.is_monic
+    assert (g.degree > 0) == shared
+    assert_cancel_matches_sympy(a, b)

@@ -23,6 +23,7 @@ import os
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 from typing import NamedTuple
 
@@ -54,11 +55,12 @@ from .poly import DegreeLimitError, Poly, max_degree
 from .qcore import (
     garrett_hummel_check,
     q_binomial_cells,
-    q_limit_checks,
+    q_binomial_limits,
     q_power_sum_cells,
+    q_power_sum_limits,
     warnaar_check,
 )
-from .ratfunc import RatFunc, evaluate_at_q
+from .ratfunc import R_ONE, RatFunc, evaluate_at_q
 from .records import (
     PASS,
     VerificationRecord,
@@ -127,13 +129,20 @@ def _numbers_records(cfg: RunConfig) -> Iterator[VerificationRecord]:
             yield VerificationRecord(table.kind, {"n": i}, details={"value": frac_str(value)})
 
 
+def _family(identity: str, cfg: RunConfig, items: Iterable) -> Iterator:
+    try:
+        yield from items
+    except DegreeLimitError as exc:
+        where = f"in {identity} with --nmax {cfg.n_max} --kmax {cfg.k_max}"
+        raise DegreeLimitError(f"{exc} {where}") from exc
+
+
 def _qtable_records(cfg: RunConfig) -> Iterator[VerificationRecord]:
+    binomials = _family("q_binomial", cfg, q_binomial_cells(cfg.n_max))
+    power_sums = _family("q_power_sum", cfg, q_power_sum_cells(cfg.n_max, cfg.k_max))
     cells = chain(
-        (("q_binomial", {"k": k, "n": n}, f) for n, k, f in q_binomial_cells(cfg.n_max)),
-        (
-            ("q_power_sum", {"m": m, "n": n}, f)
-            for m, n, f in q_power_sum_cells(cfg.n_max, cfg.k_max)
-        ),
+        (("q_binomial", {"k": k, "n": n}, f) for n, k, f in binomials),
+        (("q_power_sum", {"m": m, "n": n}, f) for m, n, f in power_sums),
     )
     for identity, params, f in cells:
         value = RatFunc(f)
@@ -161,22 +170,29 @@ def shift_law_record() -> VerificationRecord:
     """Randomized check that shifting the summation index by k changes a
     regularized sum by exactly the finite partial sum of the first k terms.
 
+    The three maps act termwise, so a trial's lhs - rhs is affine in its
+    terms: A(k) + sum_i c_i * (D(beta_i, k) - A(k)), with A and D the
+    defects of the empty list and the unit term, each built once per key.
     One aggregated record: PASS only when every seeded trial holds exactly.
     """
     import random  # only `verify` needs it; kept off the start-up path
 
+    def defect(terms: tuple[ExpTerm, ...], k: int) -> RatFunc:  # lhs - rhs
+        return fermionic_sum(shift_terms(terms, k)) - fermionic_sum(terms) + partial_sum(terms, k)
+
+    empty = cache(lambda k: defect((), k))
+    bracket = cache(lambda beta2, k: defect((ExpTerm(R_ONE, beta2),), k) - empty(k))
     rng = random.Random(SHIFT_LAW_SEED)
     failures = 0
     witness = None
     for _ in range(SHIFT_LAW_TRIALS):
         terms = _random_exp_terms(rng)
         k = rng.randint(0, SHIFT_LAW_MAX_SHIFT)
-        lhs = fermionic_sum(shift_terms(terms, k))
-        rhs = fermionic_sum(terms) - partial_sum(terms, k)
-        if lhs != rhs:
+        diff = sum((c * bracket(b, k) for c, b in terms if bracket(b, k)), empty(k))
+        if diff:
             failures += 1
             if witness is None:
-                witness = lhs - rhs
+                witness = diff
     return record_from_difference(
         "shift_law",
         {"trials": SHIFT_LAW_TRIALS, "max_shift": SHIFT_LAW_MAX_SHIFT},
@@ -213,6 +229,7 @@ class _Subcommand(NamedTuple):
     help: str
     records: Callable[[RunConfig], Iterable[VerificationRecord]]
     csv_columns: tuple[str, ...]
+    q_columns: tuple[str, ...] = ()  # CSV columns only a run with --q has
 
 
 # The subcommands in `--help` order.  Builders look up what they call at
@@ -226,7 +243,8 @@ _SUBCOMMANDS = {
     "qtable": _Subcommand(
         "q-binomial and q-power-sum tables",
         _qtable_records,
-        ("identity", "params", "value", "value_at_q"),
+        ("identity", "params", "value"),
+        ("value_at_q",),
     ),
     "verify": _Subcommand(
         "run the full identity grid",
@@ -235,7 +253,10 @@ _SUBCOMMANDS = {
     ),
     "limits": _Subcommand(
         "q -> 1 limit checks with pole flags",
-        lambda cfg: q_limit_checks(cfg.n_max, cfg.k_max),
+        lambda cfg: chain(
+            _family("q_power_sum_limit", cfg, q_power_sum_limits(cfg.n_max, cfg.k_max)),
+            _family("q_binomial_limit", cfg, q_binomial_limits(cfg.n_max)),
+        ),
         ("identity", "params", "limit", "classical", "status"),
     ),
 }
@@ -283,10 +304,10 @@ _CSV_CELLS = {
 def render_report(report: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report, sort_keys=True, indent=2) + "\n"
-    command = report["config"]["command"]
-    columns = _SUBCOMMANDS[command].csv_columns
-    if command == "qtable" and report["config"]["q_eval"] is None:
-        columns = columns[:-1]
+    subcommand = _SUBCOMMANDS[report["config"]["command"]]
+    columns = subcommand.csv_columns
+    if report["config"]["q_eval"] is not None:
+        columns += subcommand.q_columns
     import csv  # only --format csv needs it; kept off the start-up path
 
     buf = io.StringIO()

@@ -246,18 +246,24 @@ def check_alt_qsum(
 
 @lru_cache(maxsize=None)
 def closed_form_g(n: int, k: int) -> QGenocchiValue:
-    """Literal transcription of the printed closed-form candidate for G(n, k).
+    """Printed closed-form candidate for G(n, k):
 
     (1/(1-q))**n * sum_{m=1}^{n} binom(n,m) (-1)**(m-1) m
         * q**(m + k + (n-1)(k-1)/2 - 2)
         / ((1 + q**(-2 + m - (n-1)/2)) * (1 + q**(m - (n-1)/2))).
+
+    The numerator's exponent is (n+1)k/2 + (m - (n-1)/2 - 2), so the
+    k-factor q**((n+1)k/2) is pulled out of the sum, as for G: the sum
+    runs once per n at k = 0 and every k > 0 scales that cached value.
     """
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
+    if k > 0:
+        value = closed_form_g(n, 0).value * monomial_q((n + 1) * k)
+        return QGenocchiValue(n, k, "plain", value)
     total = R_ZERO
     for m in range(1, n + 1):
-        numer = monomial_q(2 * m + 2 * k + (n - 1) * (k - 1) - 4)
-        numer = numer * (comb(n, m) * (-1) ** (m - 1) * m)
+        numer = monomial_q(2 * m - (n - 1) - 4) * (comb(n, m) * (-1) ** (m - 1) * m)
         d1 = monomial_q(2 * m - 4 - (n - 1)) + 1
         d2 = monomial_q(2 * m - (n - 1)) + 1
         total = total + numer / (d1 * d2)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from math import comb
 from typing import NamedTuple
 
@@ -194,13 +194,21 @@ def _binomial_limit(n: int, k: int, f: Poly) -> VerificationRecord:
     return limit_record("q_binomial_limit", {"k": k, "n": n}, f(1), classical)
 
 
-def q_limit_checks(m_max: int, n_max: int) -> Iterator[VerificationRecord]:
-    """The q -> 1 limit checks of f_{m,q}(n) for 1 <= m <= m_max and
-    1 <= n <= n_max, then of [n choose k]_q for 0 <= k <= n <= m_max."""
+def q_power_sum_limits(m_max: int, n_max: int) -> Iterator[VerificationRecord]:
+    """The q -> 1 limit checks of f_{m,q}(n), 1 <= m <= m_max, 1 <= n <= n_max."""
     for m, n, f in q_power_sum_cells(m_max, n_max):
         yield _power_sum_limit(m, n, f)
-    for n, k, f in q_binomial_cells(m_max):
+
+
+def q_binomial_limits(n_max: int) -> Iterator[VerificationRecord]:
+    """The q -> 1 limit checks of [n choose k]_q for 0 <= k <= n <= n_max."""
+    for n, k, f in q_binomial_cells(n_max):
         yield _binomial_limit(n, k, f)
+
+
+def q_limit_checks(m_max: int, n_max: int) -> Iterator[VerificationRecord]:
+    """q_power_sum_limits(m_max, n_max), then q_binomial_limits(m_max)."""
+    return chain(q_power_sum_limits(m_max, n_max), q_binomial_limits(m_max))
 
 
 def q_power_sum_limit_check(m: int, n: int) -> VerificationRecord:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -163,6 +164,45 @@ def test_shift_law_failure_keeps_first_witness(monkeypatch):
     assert rec.witness == RatFunc(1)
 
 
+def _shift_law_by_trials():
+    """failures and first witness of the 200 seeded trials, each run through
+    the three maps as cli names them."""
+    rng = random.Random(cli.SHIFT_LAW_SEED)
+    failures, witness = 0, None
+    for _ in range(SHIFT_LAW_TRIALS):
+        terms = cli._random_exp_terms(rng)
+        k = rng.randint(0, SHIFT_LAW_MAX_SHIFT)
+        lhs = cli.fermionic_sum(cli.shift_terms(terms, k))
+        rhs = cli.fermionic_sum(terms) - cli.partial_sum(terms, k)
+        if lhs != rhs:
+            failures += 1
+            witness = witness or lhs - rhs
+    return failures, witness
+
+
+def test_shift_law_linear_fault_matches_trial_replay(monkeypatch):
+    # One summand too many: the maps stay linear, so the defect table must
+    # report exactly what running every trial through them reports.
+    partial_sum = cli.partial_sum
+    monkeypatch.setattr(cli, "partial_sum", lambda terms, k: partial_sum(terms, k + 1))
+    failures, witness = _shift_law_by_trials()
+    assert failures > 0
+    rec = shift_law_record()
+    assert rec.status == "FAIL"
+    assert rec.details["failures"] == str(failures)
+    assert rec.witness == witness
+
+
+def test_shift_law_runs_maps_once_per_table_key(monkeypatch):
+    # Keys: the empty list at each k, the unit term at each (beta2, k).
+    calls = []
+    fermionic_sum = cli.fermionic_sum
+    monkeypatch.setattr(cli, "fermionic_sum", lambda terms: calls.append(1) or fermionic_sum(terms))
+    assert shift_law_record().passed
+    keys = (SHIFT_LAW_MAX_SHIFT + 1) * (1 + 13)
+    assert 0 < len(calls) <= 2 * keys == 2 * (7 + 13 * 7)
+
+
 def test_bad_flags_exit_two():
     for argv in (
         ["verify", "--nmax", "0"],
@@ -222,6 +262,27 @@ def test_degree_cap_exceeded_exits_four(run_module):
     assert done.returncode == 4
     assert done.stdout == ""
     assert re.fullmatch(r"qgenocchi: degree \d+ exceeds QGL_MAX_DEGREE=30\n", done.stderr)
+
+
+@pytest.mark.parametrize(
+    "argv, family",
+    [
+        ("limits --nmax 7 --kmax 10", "q_power_sum_limit"),
+        ("limits --nmax 9 --kmax 1", "q_binomial_limit"),
+        ("qtable --nmax 2 --kmax 9", "q_power_sum"),
+        ("qtable --nmax 9 --kmax 1", "q_binomial"),
+    ],
+)
+def test_degree_cap_error_names_the_family(run_module, argv, family):
+    done = run_module(argv.split(), QGL_MAX_DEGREE="30")
+    assert done.returncode == 4
+    assert done.stdout == ""
+    nmax, kmax = argv.split()[2::2]
+    assert re.fullmatch(
+        rf"qgenocchi: degree \d+ exceeds QGL_MAX_DEGREE=30 in {family} "
+        rf"with --nmax {nmax} --kmax {kmax}\n",
+        done.stderr,
+    )
 
 
 def test_numbers_nmax_above_cap_exits_two(run_module):

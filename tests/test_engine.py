@@ -435,3 +435,41 @@ def test_alt_qsum_matches_term_sum():
                     diff = want - (g - g_shift) / (n * q_integer(2))
                     got = check_alt_qsum(n, k, conv, lhs_convention=lhs_conv)
                     assert got.witness == (diff or None), (lhs_conv, conv, n, k)
+
+
+term_pairs = st.lists(
+    st.tuples(st.fractions(-3, 3, max_denominator=4), st.integers(-8, 8)), max_size=4
+)
+
+
+@settings(max_examples=40)
+@given(term_pairs, st.integers(min_value=0, max_value=6))
+def test_maps_split_over_unit_terms(pairs, k):
+    # The premise of cli.shift_law_record's defect table: each map acts on a
+    # term list term by term, as the coefficient times its unit-term value.
+    terms = tuple(ExpTerm(c * R_ONE, beta2) for c, beta2 in pairs)
+    units = [(c, (ExpTerm(R_ONE, beta2),)) for c, beta2 in pairs]
+    assert fermionic_sum(terms) == sum((c * fermionic_sum(u) for c, u in units), R_ZERO)
+    assert partial_sum(terms, k) == sum((c * partial_sum(u, k) for c, u in units), R_ZERO)
+    assert shift_terms(terms, k) == tuple(
+        ExpTerm(c * t.coeff, t.beta2) for c, u in units for t in shift_terms(u, k)
+    )
+
+
+def _closed_form_g_per_k(n, k):
+    """The printed closed form for G(n, k), summed afresh at this k."""
+    total = R_ZERO
+    for m in range(1, n + 1):
+        numer = monomial_q(2 * m + 2 * k + (n - 1) * (k - 1) - 4)
+        numer = numer * (comb(n, m) * (-1) ** (m - 1) * m)
+        d1 = monomial_q(2 * m - 4 - (n - 1)) + 1
+        d2 = monomial_q(2 * m - (n - 1)) + 1
+        total = total + numer / (d1 * d2)
+    return (1 - monomial_q(2)) ** -n * total
+
+
+def test_closed_form_g_scaling_matches_per_k_sum():
+    # closed_form_g(n, k) is built as q**((n+1)k/2) * closed_form_g(n, 0).
+    for n in range(1, 11):
+        for k in range(0, 11):
+            assert closed_form_g(n, k).value == _closed_form_g_per_k(n, k), (n, k)

@@ -389,6 +389,9 @@ REPORT_DIGESTS = {
         "70d15b9b909ac46ad5a99c36c6c52160a34e88c2ccd4312d6780600bb3efaca9",
     "verify --nmax 6 --kmax 6":
         "3d75cdeb013733f6189dcb4e5de1fb05daf8ac8ddc69badf160f9822c6be2d90",
+    # (x^2b - 1)^(n-1) reaches multiplicity 7 in the prefactor here.
+    "verify --nmax 8 --kmax 8":
+        "642d94b4674a00237ad24546e97d58f118358e6357da2c1f02c57c66807983ce",
     # Whole q-power-sum rows and q-Pascal triangles.
     "limits --nmax 7 --kmax 10":
         "c8dd9c38c7b57455e2c90f8bfa3f6d190f2ca66f01f18a970f7d91a2522d4286",

@@ -155,15 +155,23 @@ def _qtable_records(cfg: RunConfig) -> Iterator[VerificationRecord]:
         yield VerificationRecord(identity, params, details=details)
 
 
-def _random_exp_terms(rng) -> tuple[ExpTerm, ...]:
-    terms = []
+def _draw_terms(rng) -> list[tuple[int, tuple[list[int], int, int]]]:
+    """One random term list as raw ints: (beta2, (num, a, c)) stands for the
+    coefficient num / (x**a + c), num its integer coefficients, at beta2."""
+    draws = []
     for _ in range(rng.randint(1, 4)):
-        num = Poly([rng.randint(-4, 4) for _ in range(rng.randint(1, 3))])
-        if num.is_zero:
-            num = Poly([1])
-        den = Poly.monomial(rng.randint(0, 2)) + rng.randint(1, 3)
-        terms.append(ExpTerm(RatFunc(num, den), rng.randint(-6, 6)))
-    return tuple(terms)
+        num = [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))]
+        a, c, beta2 = rng.randint(0, 2), rng.randint(1, 3), rng.randint(-6, 6)
+        draws.append((beta2, (num if any(num) else [1], a, c)))
+    return draws
+
+
+def _coefficient(num: list[int], a: int, c: int) -> RatFunc:
+    return RatFunc(Poly(num), Poly.monomial(a) + c)
+
+
+def _random_exp_terms(rng) -> tuple[ExpTerm, ...]:
+    return tuple(ExpTerm(_coefficient(*raw), beta2) for beta2, raw in _draw_terms(rng))
 
 
 def shift_law_record() -> VerificationRecord:
@@ -173,6 +181,7 @@ def shift_law_record() -> VerificationRecord:
     The three maps act termwise, so a trial's lhs - rhs is affine in its
     terms: A(k) + sum_i c_i * (D(beta_i, k) - A(k)), with A and D the
     defects of the empty list and the unit term, each built once per key.
+    A coefficient c_i is built only when its bracket is nonzero.
     One aggregated record: PASS only when every seeded trial holds exactly.
     """
     import random  # only `verify` needs it; kept off the start-up path
@@ -186,9 +195,9 @@ def shift_law_record() -> VerificationRecord:
     failures = 0
     witness = None
     for _ in range(SHIFT_LAW_TRIALS):
-        terms = _random_exp_terms(rng)
+        draws = _draw_terms(rng)
         k = rng.randint(0, SHIFT_LAW_MAX_SHIFT)
-        diff = sum((c * bracket(b, k) for c, b in terms if bracket(b, k)), empty(k))
+        diff = sum((_coefficient(*c) * bracket(b, k) for b, c in draws if bracket(b, k)), empty(k))
         if diff:
             failures += 1
             if witness is None:

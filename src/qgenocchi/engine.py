@@ -27,15 +27,18 @@ Convention flag and every check reports per convention.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 from typing import Iterable, Literal, NamedTuple
 
 from .classical import order_r_genocchi
-from .poly import ZERO, Poly
+from .poly import ONE, ZERO, Poly
 from .qcore import limit_at_one, q_integer, q_integer_poly
-from .ratfunc import R_ZERO, RatFunc, monomial_q
+from .ratfunc import (
+    R_ZERO, RatFunc, cyclotomic, cyclotomic_indices, monomial_q, over_cyclotomics
+)
 from .records import VerificationRecord, limit_record, record_from_difference
 
 Variant = Literal["plain", "shifted"]
@@ -82,15 +85,8 @@ def merge_terms(terms: Iterable[ExpTerm]) -> tuple[ExpTerm, ...]:
     """Combine equal-exponent terms and drop zero coefficients."""
     by_beta2: dict[int, RatFunc] = {}
     for term in terms:
-        if term.beta2 in by_beta2:
-            by_beta2[term.beta2] = by_beta2[term.beta2] + term.coeff
-        else:
-            by_beta2[term.beta2] = term.coeff
-    return tuple(
-        ExpTerm(coeff, beta2)
-        for beta2, coeff in sorted(by_beta2.items())
-        if not coeff.is_zero
-    )
+        by_beta2[term.beta2] = by_beta2.get(term.beta2, R_ZERO) + term.coeff
+    return tuple(ExpTerm(coeff, beta2) for beta2, coeff in sorted(by_beta2.items()) if coeff)
 
 
 @lru_cache(maxsize=None)
@@ -146,17 +142,55 @@ def partial_sum(terms: Iterable[ExpTerm], k: int) -> RatFunc:
     return total
 
 
-def coefficient_terms(
-    n: int, k: int, variant: Variant, conv: Convention
-) -> tuple[ExpTerm, ...]:
-    """ExpTerm decomposition of the t**n/n! coefficient of one family.
+def _beta_coefficients(n: int, conv: Convention) -> tuple[tuple[int, int], ...]:
+    """Sorted nonzero (beta2, c): the plain t**n/n! coefficient at k = 0 is
+    sum c * n [2]_q / ((q**2 - 1) (q**b - 1)**(n-1)) * q**(beta2/2 * j).
 
     The j-th summand contributes n * weight_j * arg_j**(n-1); both brackets
     expand binomially into exponentials q**(beta*j), leaving for each
     m = 0..n-1 a pair of terms at beta2 = 2*b*m + 4 - (n+1) and
     beta2 = 2*b*m - (n+1), where b is the convention's bracket base power.
-    The shifted family is the plain one summed from j = k, so its terms are
-    the plain terms reindexed by shift_terms.
+    """
+    b = conv.base_power
+    coeffs: Counter[int] = Counter()
+    for m in range(n):
+        c = comb(n - 1, m) * (-1) ** (n - 1 - m)
+        coeffs[2 * b * m + 4 - (n + 1)] += c
+        coeffs[2 * b * m - (n + 1)] -= c
+    return tuple((beta2, c) for beta2, c in sorted(coeffs.items()) if c)
+
+
+def _plus_one_sum(terms: list, scale: Poly, minus_ones: tuple) -> RatFunc:
+    """scale * sum c * x**e / prod_j (1 + x**a_j) / prod (x**m - 1)**mult
+    over (c, e, a's) terms and (m, mult) pairs.  As in _regularized,
+    1 / (1 + x**a) reads x**-a / (1 + x**-a) for a < 0 and 1/2 for a = 0.
+
+    Each denominator is a power of x times cyclotomic factors, so their
+    lcm comes from the index sets and the sum over it is reduced by trial
+    division: no gcd and no RatFunc addition.
+    """
+    terms = [(c, e - sum(min(a, 0) for a in a_s), [abs(a) for a in a_s]) for c, e, a_s in terms]
+    lcm: Counter[int] = Counter()
+    for _, _, a_s in terms:
+        lcm |= Counter(d for a in a_s if a for d in cyclotomic_indices(a, 1))
+    common = prod((cyclotomic(d) ** mult for d, mult in lcm.items()), start=ONE)
+    shift = max(0, -min((e for _, e, _ in terms), default=0))
+    num = ZERO
+    for c, e, a_s in terms:
+        den = prod((Poly.monomial(a) + 1 for a in a_s), start=ONE)
+        num = num + Poly.monomial(e + shift, c) * (common // den)
+    for m, mult in minus_ones:
+        lcm.update(dict.fromkeys(cyclotomic_indices(m, -1), mult))
+    return over_cyclotomics(num * scale, shift, lcm)
+
+
+def coefficient_terms(
+    n: int, k: int, variant: Variant, conv: Convention
+) -> tuple[ExpTerm, ...]:
+    """ExpTerm decomposition of the t**n/n! coefficient of one family:
+    _beta_coefficients times the prefactor at k, x**((n+1)*k) times that
+    at k = 0.  The shifted family is the plain one summed from j = k, so
+    its terms are the plain terms reindexed by shift_terms.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -169,12 +203,7 @@ def coefficient_terms(
     b = conv.base_power
     denom = (Poly.monomial(4) - 1) * (Poly.monomial(2 * b) - 1) ** (n - 1)
     prefactor = n * q_integer(2) * RatFunc(Poly.monomial((n + 1) * k), denom)
-    terms: list[ExpTerm] = []
-    for m in range(n):
-        c = prefactor * (comb(n - 1, m) * (-1) ** (n - 1 - m))
-        terms.append(ExpTerm(c, 2 * b * m + 4 - (n + 1)))
-        terms.append(ExpTerm(-c, 2 * b * m - (n + 1)))
-    return merge_terms(terms)
+    return tuple(ExpTerm(prefactor * c, beta2) for beta2, c in _beta_coefficients(n, conv))
 
 
 @lru_cache(maxsize=None)
@@ -183,12 +212,13 @@ def q_genocchi_number(n: int, k: int, conv: Convention) -> QGenocchiValue:
 
     k enters the plain terms only through the prefactor x**((n+1)*k), so
     G(n, k) = q**((n+1)*k/2) * G(n, 0): the regularized sum runs once per
-    (n, conv) and every k > 0 scales the cached k = 0 value.
+    (n, conv) and every k > 0 scales the cached k = 0 value.  At k = 0 the
+    shifted family is the plain one, so that sum is G_shift(n, 0).
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     if k == 0:
-        value = fermionic_sum(coefficient_terms(n, 0, "plain", conv))
+        value = q_genocchi_number_shifted(n, 0, conv).value
     else:
         value = q_genocchi_number(n, 0, conv).value * monomial_q((n + 1) * k)
     return QGenocchiValue(n, k, "plain", value)
@@ -196,8 +226,17 @@ def q_genocchi_number(n: int, k: int, conv: Convention) -> QGenocchiValue:
 
 @lru_cache(maxsize=None)
 def q_genocchi_number_shifted(n: int, k: int, conv: Convention) -> QGenocchiValue:
-    """G_shift(n, k): regularized t**n/n! coefficient of the shifted family."""
-    value = fermionic_sum(coefficient_terms(n, k, "shifted", conv))
+    """G_shift(n, k): regularized t**n/n! coefficient of the shifted family.
+
+    This is fermionic_sum(coefficient_terms(n, k, "shifted", conv)), added
+    up at once over the lcm of the prefactor's (q**2 - 1) (q**b - 1)**(n-1)
+    and the regularization's 1 + q**(beta2/2).
+    """
+    if n < 1 or k < 0:
+        raise ValueError("need n >= 1 and k >= 0")
+    sign, b = (-1) ** (k + 1), conv.base_power
+    terms = [(sign * c, (beta2 + n + 1) * k, (beta2,)) for beta2, c in _beta_coefficients(n, conv)]
+    value = _plus_one_sum(terms, Poly([n, 0, n]), ((4, 1), (2 * b, n - 1)))
     return QGenocchiValue(n, k, "shifted", value)
 
 
@@ -254,21 +293,20 @@ def closed_form_g(n: int, k: int) -> QGenocchiValue:
 
     The numerator's exponent is (n+1)k/2 + (m - (n-1)/2 - 2), so the
     k-factor q**((n+1)k/2) is pulled out of the sum, as for G: the sum
-    runs once per n at k = 0 and every k > 0 scales that cached value.
+    runs once per n at k = 0, over the cyclotomic lcm of its denominators,
+    and every k > 0 scales that cached value.
     """
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
     if k > 0:
         value = closed_form_g(n, 0).value * monomial_q((n + 1) * k)
         return QGenocchiValue(n, k, "plain", value)
-    total = R_ZERO
+    terms = []
     for m in range(1, n + 1):
-        numer = monomial_q(2 * m - (n - 1) - 4) * (comb(n, m) * (-1) ** (m - 1) * m)
-        d1 = monomial_q(2 * m - 4 - (n - 1)) + 1
-        d2 = monomial_q(2 * m - (n - 1)) + 1
-        total = total + numer / (d1 * d2)
-    prefactor = (1 - monomial_q(2)) ** -n
-    return QGenocchiValue(n, k, "plain", prefactor * total)
+        a = 2 * m - (n - 1)
+        terms.append((comb(n, m) * (-1) ** (m - 1) * m, a - 4, (a - 4, a)))
+    value = _plus_one_sum(terms, Poly([(-1) ** n]), ((2, n),))  # (1 - q)**-n
+    return QGenocchiValue(n, k, "plain", value)
 
 
 @lru_cache(maxsize=None)
@@ -277,19 +315,18 @@ def closed_form_g_shift(n: int, k: int) -> QGenocchiValue:
 
     (1/(1-q))**n * sum_{m=1}^{n} binom(n,m) (-1)**(m-1+k)
         * ( m q**((m-1)k) / (1 + q**(m-2-(n-1)/2))
-          - m q**((m+1)k) / (1 + q**(m-(n-1)/2)) ).
+          - m q**((m+1)k) / (1 + q**(m-(n-1)/2)) ),
+
+    summed once over the cyclotomic lcm of its 2n denominators.
     """
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
-    total = R_ZERO
+    terms = []
     for m in range(1, n + 1):
-        scale = comb(n, m) * (-1) ** (m - 1 + k) * m
-        d1 = monomial_q(2 * m - 4 - (n - 1)) + 1
-        d2 = monomial_q(2 * m - (n - 1)) + 1
-        piece = monomial_q(2 * (m - 1) * k) / d1 - monomial_q(2 * (m + 1) * k) / d2
-        total = total + piece * scale
-    prefactor = (1 - monomial_q(2)) ** -n
-    return QGenocchiValue(n, k, "shifted", prefactor * total)
+        scale, a = comb(n, m) * (-1) ** (m - 1 + k) * m, 2 * m - (n - 1)
+        terms += [(scale, 2 * (m - 1) * k, (a - 4,)), (-scale, 2 * (m + 1) * k, (a,))]
+    value = _plus_one_sum(terms, Poly([(-1) ** n]), ((2, n),))  # (1 - q)**-n
+    return QGenocchiValue(n, k, "shifted", value)
 
 
 def check_closed_form_g(n: int, k: int, conv: Convention) -> VerificationRecord:

@@ -12,10 +12,11 @@ stay exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 from typing import Union
 
-from .poly import ONE, ZERO, Poly, gcd
+from .poly import ONE, X, ZERO, Poly, gcd
 
 Scalar = Union[int, Fraction]
 
@@ -214,6 +215,44 @@ def monomial_q(a: int) -> RatFunc:
     if a >= 0:
         return RatFunc(Poly.monomial(a))
     return RatFunc(ONE, Poly.monomial(-a))
+
+
+@lru_cache(maxsize=None)
+def cyclotomic(d: int) -> Poly:
+    """The d-th cyclotomic polynomial, from x**d - 1 = prod_{e | d} Phi_e."""
+    den = ONE
+    for e in cyclotomic_indices(d, -1)[:-1]:
+        den = den * cyclotomic(e)
+    return (Poly.monomial(d) - 1) // den
+
+
+def cyclotomic_indices(m: int, sign: int) -> tuple[int, ...]:
+    """The d with prod Phi_d = x**m + sign for m >= 1 and sign = +-1: the
+    divisors of m for -1, those of 2m that do not divide m for +1."""
+    top = m if sign < 0 else 2 * m
+    return tuple(d for d in range(1, top + 1) if top % d == 0 and (sign < 0 or m % d))
+
+
+def over_cyclotomics(num: Poly, x_power: int, exponents: dict[int, int]) -> RatFunc:
+    """num / (x**x_power * prod_d Phi_d**e_d) in canonical form, with no gcd.
+
+    x and the Phi_d are distinct irreducibles, so exact trial division by
+    each, as often as its exponent allows, leaves num coprime to the monic
+    denominator the remaining exponents build.  A factor is tried at its
+    full power first, then at halved powers: a few passes over num each.
+    """
+    den = ONE
+    for p, e in [(X, x_power)] + [(cyclotomic(d), e) for d, e in exponents.items()]:
+        step = e
+        while step and not num.is_zero:
+            quot, rem = divmod(num, p**step)
+            if rem:
+                step //= 2
+            else:
+                num, e = quot, e - step
+                step = min(step, e)
+        den = den * p**e
+    return _reduced(num, den)
 
 
 def _eval_even_part(p: Poly, q0: Fraction) -> Fraction | None:

@@ -27,7 +27,8 @@ from qgenocchi.engine import (
     q_genocchi_number_shifted,
     shift_terms,
 )
-from qgenocchi.poly import Poly
+from qgenocchi import poly, ratfunc
+from qgenocchi.poly import DegreeLimitError, Poly
 from qgenocchi.qcore import limit_at_one, q_integer
 from qgenocchi.ratfunc import R_ONE, R_ZERO, RatFunc, evaluate_at_q, monomial_q
 from qgenocchi.series import Series, exp_xt
@@ -473,3 +474,58 @@ def test_closed_form_g_scaling_matches_per_k_sum():
     for n in range(1, 11):
         for k in range(0, 11):
             assert closed_form_g(n, k).value == _closed_form_g_per_k(n, k), (n, k)
+
+
+def test_shifted_values_match_regularized_term_sum():
+    # G_shift is summed once over the cyclotomic lcm; the termwise
+    # fermionic_sum of the shifted terms is the definition it must equal.
+    for conv in CONVENTIONS:
+        for n in range(1, 9):
+            for k in range(0, 9):
+                direct = fermionic_sum(coefficient_terms(n, k, "shifted", conv))
+                assert q_genocchi_number_shifted(n, k, conv).value == direct, (conv, n, k)
+
+
+def _closed_form_g_shift_literal(n, k):
+    """The printed closed form for G_shift(n, k), one RatFunc piece at a time."""
+    total = R_ZERO
+    for m in range(1, n + 1):
+        scale = comb(n, m) * (-1) ** (m - 1 + k) * m
+        d1 = monomial_q(2 * m - 4 - (n - 1)) + 1
+        d2 = monomial_q(2 * m - (n - 1)) + 1
+        piece = monomial_q(2 * (m - 1) * k) / d1 - monomial_q(2 * (m + 1) * k) / d2
+        total = total + piece * scale
+    return (1 - monomial_q(2)) ** -n * total
+
+
+def test_closed_form_g_shift_matches_literal_sum():
+    for n in range(1, 11):
+        for k in range(0, 11):
+            assert closed_form_g_shift(n, k).value == _closed_form_g_shift_literal(n, k), (n, k)
+
+
+def test_engine_sums_run_no_gcd(monkeypatch):
+    calls = []
+    poly_gcd = poly.gcd
+
+    def counting(a, b):
+        calls.append(1)
+        return poly_gcd(a, b)
+
+    monkeypatch.setattr(poly, "gcd", counting)
+    monkeypatch.setattr(ratfunc, "gcd", counting)
+    g = q_genocchi_number.__wrapped__(6, 0, Q).value
+    g_shift = q_genocchi_number_shifted.__wrapped__(6, 3, Q).value
+    assert calls == []
+    assert g == fermionic_sum(coefficient_terms(6, 0, "plain", Q))
+    assert g_shift == fermionic_sum(coefficient_terms(6, 3, "shifted", Q))
+    assert calls
+
+
+def test_engine_sums_respect_degree_cap():
+    poly.set_max_degree(20)
+    try:
+        with pytest.raises(DegreeLimitError):
+            q_genocchi_number_shifted.__wrapped__(8, 8, Q)
+    finally:
+        poly.set_max_degree(None)

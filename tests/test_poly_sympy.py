@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qgenocchi.poly import Poly, gcd
-from qgenocchi.ratfunc import RatFunc
+from qgenocchi.ratfunc import RatFunc, cyclotomic, cyclotomic_indices, over_cyclotomics
 
 sympy = pytest.importorskip("sympy")
 
@@ -186,3 +186,44 @@ def test_gcd_of_bracket_products_matches_sympy(name):
     assert gcd(b, a) == g and g.is_monic
     assert (g.degree > 0) == shared
     assert_cancel_matches_sympy(a, b)
+
+
+def test_cyclotomic_matches_sympy():
+    for d in range(1, 61):
+        want = sympy.Poly(sympy.cyclotomic_poly(d, x), x, domain=sympy.QQ)
+        assert to_sympy(cyclotomic(d)) == want, d
+
+
+def test_cyclotomic_indices_factor_binomials():
+    for m in range(1, 41):
+        for sign in (-1, 1):
+            product = Poly([1])
+            for d in cyclotomic_indices(m, sign):
+                product = product * cyclotomic(d)
+            assert product == Poly.monomial(m) + sign, (m, sign)
+
+
+cyclotomic_orders = st.integers(min_value=1, max_value=30)
+
+
+@given(
+    st.fractions(min_value=-50, max_value=50, max_denominator=12).filter(bool),
+    st.lists(cyclotomic_orders, max_size=5),
+    st.integers(min_value=0, max_value=3),
+    st.lists(cyclotomic_orders, max_size=6),
+    st.integers(min_value=0, max_value=3),
+)
+def test_over_cyclotomics_matches_gcd_route(content, num_orders, num_x, den_orders, den_x):
+    # num shares some, all or none of the denominator's factors, with
+    # multiplicities on both sides; the gcd route is the reference.
+    num = Poly.monomial(num_x, content)
+    for d in num_orders:
+        num = num * cyclotomic(d)
+    exponents: dict[int, int] = {}
+    den = Poly.monomial(den_x)
+    for d in den_orders:
+        exponents[d] = exponents.get(d, 0) + 1
+        den = den * cyclotomic(d)
+    got = over_cyclotomics(num, den_x, exponents)
+    want = RatFunc(num, den)
+    assert (got.num, got.den) == (want.num, want.den)

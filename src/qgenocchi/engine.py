@@ -85,8 +85,15 @@ def merge_terms(terms: Iterable[ExpTerm]) -> tuple[ExpTerm, ...]:
     """Combine equal-exponent terms and drop zero coefficients."""
     by_beta2: dict[int, RatFunc] = {}
     for term in terms:
-        by_beta2[term.beta2] = by_beta2.get(term.beta2, R_ZERO) + term.coeff
-    return tuple(ExpTerm(coeff, beta2) for beta2, coeff in sorted(by_beta2.items()) if coeff)
+        if term.beta2 in by_beta2:
+            by_beta2[term.beta2] = by_beta2[term.beta2] + term.coeff
+        else:
+            by_beta2[term.beta2] = term.coeff
+    return tuple(
+        ExpTerm(coeff, beta2)
+        for beta2, coeff in sorted(by_beta2.items())
+        if not coeff.is_zero
+    )
 
 
 @lru_cache(maxsize=None)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qgenocchi import poly, ratfunc
 from qgenocchi.classical import euler_numbers
 from qgenocchi.engine import (
     CONVENTIONS,
@@ -27,7 +28,6 @@ from qgenocchi.engine import (
     q_genocchi_number_shifted,
     shift_terms,
 )
-from qgenocchi import poly, ratfunc
 from qgenocchi.poly import DegreeLimitError, Poly
 from qgenocchi.qcore import limit_at_one, q_integer
 from qgenocchi.ratfunc import R_ONE, R_ZERO, RatFunc, evaluate_at_q, monomial_q

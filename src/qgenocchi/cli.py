@@ -170,10 +170,6 @@ def _coefficient(num: list[int], a: int, c: int) -> RatFunc:
     return RatFunc(Poly(num), Poly.monomial(a) + c)
 
 
-def _random_exp_terms(rng) -> tuple[ExpTerm, ...]:
-    return tuple(ExpTerm(_coefficient(*raw), beta2) for beta2, raw in _draw_terms(rng))
-
-
 def shift_law_record() -> VerificationRecord:
     """Randomized check that shifting the summation index by k changes a
     regularized sum by exactly the finite partial sum of the first k terms.

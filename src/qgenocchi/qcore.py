@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import islice
 from math import comb
 from typing import NamedTuple
 
@@ -204,11 +204,6 @@ def q_binomial_limits(n_max: int) -> Iterator[VerificationRecord]:
     """The q -> 1 limit checks of [n choose k]_q for 0 <= k <= n <= n_max."""
     for n, k, f in q_binomial_cells(n_max):
         yield _binomial_limit(n, k, f)
-
-
-def q_limit_checks(m_max: int, n_max: int) -> Iterator[VerificationRecord]:
-    """q_power_sum_limits(m_max, n_max), then q_binomial_limits(m_max)."""
-    return chain(q_power_sum_limits(m_max, n_max), q_binomial_limits(m_max))
 
 
 def q_power_sum_limit_check(m: int, n: int) -> VerificationRecord:

@@ -46,10 +46,7 @@ class RatFunc:
         if num.is_zero:
             self.num, self.den = ZERO, ONE
             return
-        g = gcd(num, den)
-        if g.degree > 0:
-            num, den = num // g, den // g
-        canon = _reduced(num, den)
+        canon = _reduced(*_divide_out(gcd(num, den), num, den))
         self.num, self.den = canon.num, canon.den
 
     @property
@@ -85,18 +82,11 @@ class RatFunc:
             return other
         if c.is_zero:
             return self
+        # Henrici: with g = gcd(b, d), only g can still divide a*d/g + c*b/g.
         g = gcd(b, d)
-        if g.degree == 0:
-            return _reduced(a * d + c * b, b * d)
-        b1, d1 = b // g, d // g
-        num0 = a * d1 + c * b1
-        if num0.is_zero:
-            return R_ZERO
-        h = gcd(num0, g)
-        den0 = b1 * d
-        if h.degree == 0:
-            return _reduced(num0, den0)
-        return _reduced(num0 // h, den0 // h)
+        b1, d1 = _divide_out(g, b, d)
+        num = a * d1 + c * b1
+        return _reduced(*_divide_out(gcd(num, g), num, b1 * d))
 
     __radd__ = __add__
 
@@ -124,12 +114,8 @@ class RatFunc:
         c, d = other.num, other.den
         if a.is_zero or c.is_zero:
             return R_ZERO
-        g1 = gcd(a, d)
-        g2 = gcd(c, b)
-        if g1.degree > 0:
-            a, d = a // g1, d // g1
-        if g2.degree > 0:
-            c, b = c // g2, b // g2
+        a, d = _divide_out(gcd(a, d), a, d)
+        c, b = _divide_out(gcd(c, b), c, b)
         return _reduced(a * c, b * d)
 
     __rmul__ = __mul__
@@ -182,6 +168,13 @@ class RatFunc:
         if self.den == ONE:
             return str(self.num)
         return f"({self.num}) / ({self.den})"
+
+
+def _divide_out(g: Poly, *polys: Poly) -> tuple[Poly, ...]:
+    """polys each divided by their common factor g; unchanged when g is constant."""
+    if g.degree > 0:
+        return tuple(p // g for p in polys)
+    return polys
 
 
 def _reduced(num: Poly, den: Poly) -> RatFunc:

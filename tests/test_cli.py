@@ -165,12 +165,13 @@ def test_shift_law_failure_keeps_first_witness(monkeypatch):
 
 
 def _shift_law_by_trials():
-    """failures and first witness of the 200 seeded trials, each run through
-    the three maps as cli names them."""
+    """failures and first witness of the 200 seeded trials, each built from
+    cli's own draws (the same RNG stream) and run through the three maps as
+    cli names them."""
     rng = random.Random(cli.SHIFT_LAW_SEED)
     failures, witness = 0, None
     for _ in range(SHIFT_LAW_TRIALS):
-        terms = cli._random_exp_terms(rng)
+        terms = tuple(cli.ExpTerm(cli._coefficient(*raw), b) for b, raw in cli._draw_terms(rng))
         k = rng.randint(0, SHIFT_LAW_MAX_SHIFT)
         lhs = cli.fermionic_sum(cli.shift_terms(terms, k))
         rhs = cli.fermionic_sum(terms) - cli.partial_sum(terms, k)

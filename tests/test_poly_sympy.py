@@ -94,6 +94,49 @@ def test_ratfunc_canonical_form_matches_sympy_cancel(a, b, c):
     assert_cancel_matches_sympy(a * c, b * c)
 
 
+X = Poly.monomial(1)
+# One sum or product per way RatFunc can cancel, first over small linear
+# factors, then over the 1 + x**beta and x**m - 1 that `verify` builds.
+# With f = a/b and g = c/d, the degrees are those of the Henrici gcds
+# gcd(b, d) and gcd(a*d/gcd(b, d) + c*b/gcd(b, d), gcd(b, d)) for +, and of
+# the cross gcds gcd(a, d) and gcd(c, b) for *.
+CANCEL_CASES = {
+    "add-coprime": (RatFunc(1, X + 1), "+", RatFunc(1, X - 1), (0, 0)),
+    "add-shared-g-h-one": (RatFunc(1, X * (X + 1)), "+", RatFunc(-1, X * (X - 1)), (1, 0)),
+    "add-h-is-g": (RatFunc(1, 1 + X), "+", RatFunc(X, 1 + X), (1, 1)),
+    "add-to-zero": (RatFunc(1, X - 1) - RatFunc(1, X + 1), "+", RatFunc(-2, X**2 - 1), (2, 2)),
+    "mul-one-cross": (RatFunc(X + 1, X - 1), "*", RatFunc(X - 1, X + 2), (0, 1)),
+    "mul-both-cross": (RatFunc(X + 2, X - 1), "*", RatFunc(X - 1, X + 2), (1, 1)),
+    "verify-add-coprime": (RatFunc(1, 1 + X**2), "+", RatFunc(1, X**3 - 1), (0, 0)),
+    "verify-add-shared-g-h-one": (RatFunc(1, 1 + X), "+", RatFunc(-1, X**2 - 1), (1, 0)),
+    "verify-add-h-is-g": (RatFunc(1, 1 + X**3), "+", RatFunc(X**3, 1 + X**3), (3, 3)),
+    "verify-add-to-zero": (
+        RatFunc(1, X**2 - 1) - RatFunc(1, 1 + X**2),
+        "+",
+        RatFunc(-2, X**4 - 1),
+        (4, 4),
+    ),
+    "verify-mul-one-cross": (RatFunc(1 + X, 1 + X**2), "*", RatFunc(X**3 - 1, 1 + X**3), (1, 0)),
+    "verify-mul-both-cross": (RatFunc(1 + X**3, X**3 - 1), "*", RatFunc(X**3 - 1, 1 + X), (1, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CANCEL_CASES))
+def test_ratfunc_cancel_cases_match_uncancelled_and_sympy(name):
+    f, op, g, degrees = CANCEL_CASES[name]
+    a, b, c, d = f.num, f.den, g.num, g.den
+    if op == "+":
+        shared = gcd(b, d)
+        gcds = (shared, gcd(a * (d // shared) + c * (b // shared), shared))
+        num, den, got = a * d + c * b, b * d, f + g
+    else:
+        gcds = (gcd(a, d), gcd(c, b))
+        num, den, got = a * c, b * d, f * g
+    assert tuple(h.degree for h in gcds) == degrees
+    assert got == RatFunc(num, den)  # structural: both canonical
+    assert_cancel_matches_sympy(num, den)
+
+
 # The strategies above almost never draw a zero constant term, so gcd's
 # split into a power of x times a cofactor gcd gets operands of its own:
 # each is multiplied by x**a with a in 0..6.

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from .classical import power_sum
 from .poly import ONE, ZERO, Poly
-from .ratfunc import R_ZERO, RatFunc, monomial_q
+from .ratfunc import R_ZERO, RatFunc
 from .records import VerificationRecord, limit_record, record_from_difference
 
 
@@ -62,7 +62,8 @@ def q_integer(k: int, base_power: int = 1) -> RatFunc:
         raise ValueError("base_power must be >= 1")
     if k >= 0:
         return RatFunc(q_integer_poly(k, base_power))
-    return (monomial_q(2 * base_power * k) - 1) / (monomial_q(2 * base_power) - 1)
+    # [-j]_{q^b} = -[j]_{q^b} / q**(b*j)
+    return RatFunc(-q_integer_poly(-k, base_power), Poly.monomial(-2 * base_power * k))
 
 
 def _binomial_rows(n_max: int, k_max: int) -> Iterator[list[Poly]]:
@@ -159,11 +160,6 @@ def warnaar_check(n: int) -> VerificationRecord:
     return record_from_difference("warnaar", {"n": n}, lhs - rhs)
 
 
-def _half_index_q2(j: int) -> RatFunc:
-    """[j/2]_{q^2} read analytically: (q**j - 1) / (q**2 - 1)."""
-    return RatFunc(Poly.monomial(2 * j) - ONE, Poly.monomial(4) - ONE)
-
-
 def garrett_hummel_check(n: int) -> VerificationRecord:
     """Half-index q-power-sum identity:
 
@@ -174,11 +170,13 @@ def garrett_hummel_check(n: int) -> VerificationRecord:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    lhs = R_ZERO
+    # Both brackets share the denominator q**2 - 1, so the k-th summand's
+    # numerator is x**(2k-2) [k]_q**2 (x**(2k-2) + x**(2k+2) - 2).
+    num = ZERO
     for k in range(1, n + 1):
-        half_pair = _half_index_q2(k - 1) + _half_index_q2(k + 1)
-        term = q_integer(k) ** 2 * half_pair
-        lhs = lhs + term * RatFunc(Poly.monomial(2 * (k - 1)))
+        pair = Poly.monomial(2 * k - 2) + Poly.monomial(2 * k + 2) - 2
+        num = num + Poly.monomial(2 * k - 2) * q_integer_poly(k) ** 2 * pair
+    lhs = RatFunc(num, Poly.monomial(4) - ONE)
     rhs = q_binomial(n + 1, 2) ** 2
     return record_from_difference("garrett_hummel", {"n": n}, lhs - rhs)
 

@@ -14,11 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from typing import Union
 
-from .poly import ONE, X, ZERO, Poly, gcd
-
-Scalar = Union[int, Fraction]
+from .poly import ONE, X, ZERO, Poly, Scalar, gcd
 
 
 class PoleError(ArithmeticError):
@@ -60,7 +57,7 @@ class RatFunc:
         if isinstance(other, RatFunc):
             return self.num == other.num and self.den == other.den
         if isinstance(other, (Poly, int, Fraction)):
-            return self == RatFunc(_as_poly(other))
+            return self == RatFunc(other)
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -195,7 +192,7 @@ def _coerce(value: "RatFunc | Poly | Scalar") -> "RatFunc":
     if isinstance(value, RatFunc):
         return value
     if isinstance(value, (Poly, int, Fraction)):
-        return RatFunc(_as_poly(value))
+        return RatFunc(value)
     return NotImplemented
 
 

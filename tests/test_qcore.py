@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qgenocchi import poly, ratfunc
 from qgenocchi.poly import DEFAULT_MAX_DEGREE, ONE, Poly, max_degree
 from qgenocchi.qcore import (
     PoleReport,
@@ -37,6 +38,11 @@ def test_q_integer_negative():
     # [-1]_q = -1/q
     assert q_integer(-1) == RatFunc(Poly([-1]), Poly.monomial(2))
     assert q_integer(-2) == -(monomial_q(-2) + monomial_q(-4))
+    # (q**(b*k) - 1) / (q**b - 1), literally, in bases q, q**2 and q**3.
+    for b in (1, 2, 3):
+        for k in range(-8, 0):
+            want = (monomial_q(2 * b * k) - 1) / (monomial_q(2 * b) - 1)
+            assert q_integer(k, b) == want, (k, b)
 
 
 def test_q_integer_other_base():
@@ -161,6 +167,27 @@ def test_garrett_hummel_small():
         assert rec.passed, (n, rec.witness)
     with pytest.raises(ValueError):
         garrett_hummel_check(0)
+
+
+def test_integer_rows_canonicalize_once(monkeypatch):
+    calls = []
+    poly_gcd = poly.gcd
+
+    def counting(a, b):
+        calls.append(1)
+        return poly_gcd(a, b)
+
+    monkeypatch.setattr(poly, "gcd", counting)
+    monkeypatch.setattr(ratfunc, "gcd", counting)
+    counts = []
+    for n in (1, 4, 12):
+        calls.clear()
+        assert garrett_hummel_check(n).passed, n
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == counts[2], counts
+    calls.clear()
+    q_integer(-5, 2)
+    assert len(calls) == 1
 
 
 def test_limit_checks_pass():

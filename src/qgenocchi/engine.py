@@ -167,6 +167,24 @@ def _beta_coefficients(n: int, conv: Convention) -> tuple[tuple[int, int], ...]:
     return tuple((beta2, c) for beta2, c in sorted(coeffs.items()) if c)
 
 
+@lru_cache(maxsize=None)
+def _frame(index_sets: tuple, minus_ones: tuple) -> tuple[dict, dict]:
+    """The k-free part of _plus_one_sum: with lcm that of every 1 + x**a,
+    each set of a's >= 0 mapped to its cofactor lcm // prod_j (1 + x**a_j),
+    and the cyclotomic exponents of lcm * prod (x**m - 1)**mult."""
+    lcm: Counter[int] = Counter()
+    for a_s in index_sets:
+        lcm |= Counter(d for a in a_s if a for d in cyclotomic_indices(a, 1))
+    common = prod((cyclotomic(d) ** mult for d, mult in lcm.items()), start=ONE)
+    cofactors = {
+        a_s: common // prod((Poly.monomial(a) + 1 for a in a_s), start=ONE)
+        for a_s in index_sets
+    }
+    for m, mult in minus_ones:
+        lcm.update(dict.fromkeys(cyclotomic_indices(m, -1), mult))
+    return cofactors, lcm
+
+
 def _plus_one_sum(terms: list, scale: Poly, minus_ones: tuple) -> RatFunc:
     """scale * sum c * x**e / prod_j (1 + x**a_j) / prod (x**m - 1)**mult
     over (c, e, a's) terms and (m, mult) pairs.  As in _regularized,
@@ -174,21 +192,16 @@ def _plus_one_sum(terms: list, scale: Poly, minus_ones: tuple) -> RatFunc:
 
     Each denominator is a power of x times cyclotomic factors, so their
     lcm comes from the index sets and the sum over it is reduced by trial
-    division: no gcd and no RatFunc addition.
+    division: no gcd and no RatFunc addition.  The lcm and the cofactors
+    are a _frame cached by the index sets, which along k stay the same.
     """
-    terms = [(c, e - sum(min(a, 0) for a in a_s), [abs(a) for a in a_s]) for c, e, a_s in terms]
-    lcm: Counter[int] = Counter()
-    for _, _, a_s in terms:
-        lcm |= Counter(d for a in a_s if a for d in cyclotomic_indices(a, 1))
-    common = prod((cyclotomic(d) ** mult for d, mult in lcm.items()), start=ONE)
+    terms = [(c, e - sum(min(a, 0) for a in a_s), tuple(map(abs, a_s))) for c, e, a_s in terms]
+    cofactors, exponents = _frame(tuple(dict.fromkeys(a_s for *_, a_s in terms)), minus_ones)
     shift = max(0, -min((e for _, e, _ in terms), default=0))
     num = ZERO
     for c, e, a_s in terms:
-        den = prod((Poly.monomial(a) + 1 for a in a_s), start=ONE)
-        num = num + Poly.monomial(e + shift, c) * (common // den)
-    for m, mult in minus_ones:
-        lcm.update(dict.fromkeys(cyclotomic_indices(m, -1), mult))
-    return over_cyclotomics(num * scale, shift, lcm)
+        num = num + Poly.monomial(e + shift, c) * cofactors[a_s]
+    return over_cyclotomics(num * scale, shift, exponents)
 
 
 def coefficient_terms(
@@ -247,6 +260,12 @@ def q_genocchi_number_shifted(n: int, k: int, conv: Convention) -> QGenocchiValu
     return QGenocchiValue(n, k, "shifted", value)
 
 
+@lru_cache(maxsize=None)
+def _alt_walk(n: int, conv: Convention) -> list:
+    """[k, alt(k)] for one (n, conv): alt_qsum resumes there, or from 0 for a smaller k."""
+    return [0, ZERO]
+
+
 def alt_qsum(n: int, k: int, conv: Convention) -> RatFunc:
     """Finite alternating q-power sum
 
@@ -261,12 +280,14 @@ def alt_qsum(n: int, k: int, conv: Convention) -> RatFunc:
     """
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
+    slot = _alt_walk(n, conv)
+    start, total = slot if slot[0] <= k else (0, ZERO)
     b = conv.base_power
     step = Poly.monomial(n + 1)
-    total = ZERO
-    for j in range(k):
+    for j in range(start, k):
         term = q_integer_poly(j, 2) * q_integer_poly(j, b) ** (n - 1)
         total = step * (total + term if j % 2 == 1 else total - term)
+    slot[:] = k, total
     return RatFunc(total)
 
 

@@ -94,7 +94,7 @@ class Poly:
         """c * x**n (n >= 0)."""
         if n < 0:
             raise ValueError("monomial exponent must be >= 0")
-        return cls([0] * n + [c])
+        return _make([0] * n + [c.numerator], c.denominator)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -137,10 +137,10 @@ class Poly:
         return _make([-c for c in self._nums], self._den)
 
     def __add__(self, other: "Poly | Scalar") -> "Poly":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Poly([other])
-        elif not isinstance(other, Poly):
-            return NotImplemented
         den = _ilcm(self._den, other._den)
         sa, sb = den // self._den, den // other._den
         a = [c * sa for c in self._nums]
@@ -159,11 +159,11 @@ class Poly:
         return -self + other
 
     def __mul__(self, other: "Poly | Scalar") -> "Poly":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             s = other.numerator
             return _make([c * s for c in self._nums], self._den * other.denominator)
-        if not isinstance(other, Poly):
-            return NotImplemented
         a, b = self._nums, other._nums
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):

@@ -100,13 +100,12 @@ class RatFunc:
         return other + (-self)
 
     def __mul__(self, other: "RatFunc | Poly | Scalar") -> "RatFunc":
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return R_ZERO
-            return _reduced(self.num * other, self.den)
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not isinstance(other, RatFunc):
+            if isinstance(other, (int, Fraction)):
+                return _reduced(self.num * other, self.den) if other else R_ZERO
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         a, b = self.num, self.den
         c, d = other.num, other.den
         if a.is_zero or c.is_zero:
@@ -223,6 +222,16 @@ def cyclotomic_indices(m: int, sign: int) -> tuple[int, ...]:
     return tuple(d for d in range(1, top + 1) if top % d == 0 and (sign < 0 or m % d))
 
 
+_PROBE = 2**64  # over_cyclotomics gates its trial divisions by values here
+
+
+@lru_cache(maxsize=None)
+def _factor_power(d: int, s: int) -> tuple[Poly, int]:
+    """Phi_d**s, or x**s for d = 0, and its value at _PROBE."""
+    p = (X if d == 0 else cyclotomic(d)) ** s
+    return p, p(_PROBE).numerator
+
+
 def over_cyclotomics(num: Poly, x_power: int, exponents: dict[int, int]) -> RatFunc:
     """num / (x**x_power * prod_d Phi_d**e_d) in canonical form, with no gcd.
 
@@ -230,18 +239,28 @@ def over_cyclotomics(num: Poly, x_power: int, exponents: dict[int, int]) -> RatF
     each, as often as its exponent allows, leaves num coprime to the monic
     denominator the remaining exponents build.  A factor is tried at its
     full power first, then at halved powers: a few passes over num each.
+    A monic p**s that divides num's integer numerator P also divides P's
+    value at the integer _PROBE, so a division runs only when p(_PROBE)**s
+    divides P(_PROBE): the gate skips only divisions that would fail.
     """
+    if num.is_zero:
+        return R_ZERO
+    probe = 0
+    for c in reversed(num._nums):
+        probe = probe * _PROBE + c
     den = ONE
-    for p, e in [(X, x_power)] + [(cyclotomic(d), e) for d, e in exponents.items()]:
+    for d, e in [(0, x_power), *exponents.items()]:
         step = e
-        while step and not num.is_zero:
-            quot, rem = divmod(num, p**step)
-            if rem:
-                step //= 2
-            else:
-                num, e = quot, e - step
-                step = min(step, e)
-        den = den * p**e
+        while step:
+            p, value = _factor_power(d, step)
+            if probe % value == 0:
+                quot, rem = divmod(num, p)
+                if not rem:
+                    num, probe, e = quot, probe // value, e - step
+                    step = min(step, e)
+                    continue
+            step //= 2
+        den = den * _factor_power(d, e)[0]
     return _reduced(num, den)
 
 

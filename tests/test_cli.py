@@ -393,6 +393,9 @@ REPORT_DIGESTS = {
     # (x^2b - 1)^(n-1) reaches multiplicity 7 in the prefactor here.
     "verify --nmax 8 --kmax 8":
         "642d94b4674a00237ad24546e97d58f118358e6357da2c1f02c57c66807983ce",
+    # One alt_qsum walk carried along forty k.
+    "verify --nmax 1 --kmax 40":
+        "f9dd263593838e830c5c3d646919d7971b5c9ba4e5f9bf93231ade1e0fc7a213",
     # Whole q-power-sum rows and q-Pascal triangles.
     "limits --nmax 7 --kmax 10":
         "c8dd9c38c7b57455e2c90f8bfa3f6d190f2ca66f01f18a970f7d91a2522d4286",

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgenocchi import poly, ratfunc
+from qgenocchi import engine, poly, ratfunc
 from qgenocchi.classical import euler_numbers
 from qgenocchi.engine import (
     CONVENTIONS,
@@ -201,6 +201,51 @@ def test_alt_qsum_first_values():
     assert alt_qsum(1, 2, Q) == monomial_q(2)
     assert alt_qsum(2, 2, Q) == monomial_q(3)
     assert alt_qsum(1, 2, Q2) == monomial_q(2)
+
+
+def _literal_alt_qsum(n, k, conv):
+    # The docstring's sum, term by term over q_integer, with no carried walk.
+    total = R_ZERO
+    for j in range(k):
+        sign = 1 if j % 2 == 1 else -1
+        bracket = q_integer(j, conv.base_power) ** (n - 1)
+        total = total + q_integer(j, 2) * sign * bracket * monomial_q((k - j) * (n + 1))
+    return total
+
+
+def _clear_caches():
+    for module in (engine, ratfunc):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+def test_alt_qsum_walk_in_any_k_order():
+    # Up, down, up, to zero and the same k again, with two n values and both
+    # conventions interleaved, so each (n, conv) walk restarts and resumes.
+    _clear_caches()
+    for k in (5, 2, 7, 0, 7):
+        for n in (2, 3):
+            for conv in CONVENTIONS:
+                assert alt_qsum(n, k, conv) == _literal_alt_qsum(n, k, conv), (n, k, conv)
+
+
+def test_alt_qsum_walk_is_linear_along_k(monkeypatch):
+    calls = []
+    q_integer_poly = engine.q_integer_poly
+
+    def counting(*args):
+        calls.append(args)
+        return q_integer_poly(*args)
+
+    monkeypatch.setattr(engine, "q_integer_poly", counting)
+    _clear_caches()
+    per_step = []
+    for k in range(1, 41):
+        before = len(calls)
+        alt_qsum(1, k, Q)
+        per_step.append(len(calls) - before)
+    assert max(per_step) <= 2, per_step
 
 
 def test_telescoping_identity_grid():
@@ -523,6 +568,30 @@ def test_engine_sums_run_no_gcd(monkeypatch):
     assert g == fermionic_sum(coefficient_terms(6, 0, "plain", Q))
     assert g_shift == fermionic_sum(coefficient_terms(6, 3, "shifted", Q))
     assert calls
+
+
+def test_sum_frames_are_built_once_per_column(monkeypatch):
+    calls = []
+    floordiv = Poly.__floordiv__
+
+    def counting(a, b):
+        calls.append(1)
+        return floordiv(a, b)
+
+    monkeypatch.setattr(Poly, "__floordiv__", counting)
+
+    def column(ks):
+        _clear_caches()
+        before = len(calls)
+        for k in ks:
+            q_genocchi_number_shifted(4, k, Q)
+        return len(calls) - before
+
+    whole = column(range(9))
+    # The cofactors are divided out once per column, so the seven inner k
+    # add no division to the two ends, which build every Phi_d it uses.
+    assert whole == column((0, 8)) > 0
+    assert column(range(9)) == whole
 
 
 def test_engine_sums_respect_degree_cap():

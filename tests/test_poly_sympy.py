@@ -7,6 +7,7 @@ above 1, and the exact divisions RatFunc performs (num // gcd).
 """
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given
@@ -270,3 +271,35 @@ def test_over_cyclotomics_matches_gcd_route(content, num_orders, num_x, den_orde
     got = over_cyclotomics(num, den_x, exponents)
     want = RatFunc(num, den)
     assert (got.num, got.den) == (want.num, want.den)
+
+
+@given(
+    st.lists(st.integers(min_value=-(10**6), max_value=10**6), min_size=1, max_size=10)
+    .map(Poly)
+    .filter(bool),
+    st.dictionaries(
+        st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=3), max_size=4
+    ),
+    st.integers(min_value=0, max_value=4),
+    st.lists(st.integers(min_value=2, max_value=9).flatmap(lambda t: st.sampled_from([t, -t])), max_size=4),
+    st.sampled_from(["random", "multiple", "coprime"]),
+)
+def test_probe_gate_agrees_with_gcd_route(base, exponents, x_power, roots, shape):
+    # The trial divisions in over_cyclotomics run only where a value at a
+    # large integer allows them.  A multiple of the whole denominator needs
+    # every division let through; a product of x - t with |t| >= 2 shares
+    # no root with x or any Phi_d, so it needs every division skipped.
+    den = prod((cyclotomic(d) ** e for d, e in exponents.items()), start=Poly.monomial(x_power))
+    num = {
+        "random": base,
+        "multiple": base * den,
+        "coprime": prod((X - t for t in roots), start=Poly([base.leading])),
+    }[shape]
+    got = over_cyclotomics(num, x_power, exponents)
+    want = RatFunc(num, den)
+    assert (got.num, got.den) == (want.num, want.den)
+    assert_cancel_matches_sympy(num, den)
+    if shape == "multiple":
+        assert got.den == Poly([1])
+    if shape == "coprime":
+        assert got.den == den

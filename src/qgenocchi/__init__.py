@@ -1,12 +1,12 @@
 """Exact q-Genocchi constructions and identity verification.
 
 Everything is computed over exact rationals: polynomials and rational
-functions in x with x**2 = q carry the q-expressions, truncated power
-series in t produce the classical number families, and a termwise
-regularization of alternating exponential series defines the q-Genocchi
-numbers themselves.  Each published identity has a checker returning a
-VerificationRecord whose witness, when present, is the exact difference
-between the two sides.
+functions in x with x**2 = q carry the q-expressions, integer recurrences
+give the classical number tables (power series in t stay as API and as
+the tests' oracle), and a termwise regularization of alternating
+exponential series defines the q-Genocchi numbers themselves.  Each
+published identity has a checker returning a VerificationRecord whose
+witness, when present, is the exact difference between the two sides.
 """
 
 __version__ = "0.1.0"

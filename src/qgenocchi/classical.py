@@ -30,7 +30,7 @@ from functools import lru_cache
 from math import comb, lcm
 from operator import add, mul
 
-from .records import VerificationRecord, frac_str, record_from_difference
+from .records import VerificationRecord, record_from_difference
 
 
 class NumberTable:
@@ -201,9 +201,9 @@ def genocchi_relations_check(m: int) -> VerificationRecord:
         {"m": m},
         difference,
         details={
-            "series": frac_str(g),
-            "via_bernoulli": frac_str(via_bernoulli),
-            "via_euler": frac_str(via_euler),
+            "series": str(g),
+            "via_bernoulli": str(via_bernoulli),
+            "via_euler": str(via_euler),
         },
     )
 

@@ -64,7 +64,6 @@ from .ratfunc import R_ONE, RatFunc, evaluate_at_q
 from .records import (
     PASS,
     VerificationRecord,
-    frac_str,
     ratfunc_str,
     record_from_difference,
 )
@@ -111,7 +110,7 @@ class RunConfig(NamedTuple):
             "n_max": self.n_max,
             "k_max": self.k_max,
             "conventions": [c.value for c in self.conventions],
-            "q_eval": frac_str(self.q_eval) if self.q_eval is not None else None,
+            "q_eval": str(self.q_eval) if self.q_eval is not None else None,
             "format": self.format,
             "out": self.out_path,
         }
@@ -126,7 +125,7 @@ def _numbers_records(cfg: RunConfig) -> Iterator[VerificationRecord]:
     )
     for table in tables:
         for i, value in enumerate(table):
-            yield VerificationRecord(table.kind, {"n": i}, details={"value": frac_str(value)})
+            yield VerificationRecord(table.kind, {"n": i}, details={"value": str(value)})
 
 
 def _family(identity: str, cfg: RunConfig, items: Iterable) -> Iterator:
@@ -149,7 +148,7 @@ def _qtable_records(cfg: RunConfig) -> Iterator[VerificationRecord]:
         details = {"value": ratfunc_str(value)}
         if cfg.q_eval is not None:
             try:
-                details["value_at_q"] = frac_str(evaluate_at_q(value, cfg.q_eval))
+                details["value_at_q"] = str(evaluate_at_q(value, cfg.q_eval))
             except ValueError:  # a half-integer power of q at a non-square q
                 details["value_at_q"] = "REQUIRES-SQUARE-Q"
         yield VerificationRecord(identity, params, details=details)

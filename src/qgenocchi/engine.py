@@ -151,7 +151,8 @@ def partial_sum(terms: Iterable[ExpTerm], k: int) -> RatFunc:
 
 def _beta_coefficients(n: int, conv: Convention) -> tuple[tuple[int, int], ...]:
     """Sorted nonzero (beta2, c): the plain t**n/n! coefficient at k = 0 is
-    sum c * n [2]_q / ((q**2 - 1) (q**b - 1)**(n-1)) * q**(beta2/2 * j).
+    sum c * n [2]_q / ((q**2 - 1) (q**b - 1)**(n-1)) * q**(beta2/2 * j),
+    whose prefactor is n / ((q - 1) (q**b - 1)**(n-1)) in lowest terms.
 
     The j-th summand contributes n * weight_j * arg_j**(n-1); both brackets
     expand binomially into exponentials q**(beta*j), leaving for each
@@ -185,9 +186,10 @@ def _frame(index_sets: tuple, minus_ones: tuple) -> tuple[dict, dict]:
     return cofactors, lcm
 
 
-def _plus_one_sum(terms: list, scale: Poly, minus_ones: tuple) -> RatFunc:
-    """scale * sum c * x**e / prod_j (1 + x**a_j) / prod (x**m - 1)**mult
-    over (c, e, a's) terms and (m, mult) pairs.  As in _regularized,
+def _plus_one_sum(terms: list, minus_ones: tuple) -> RatFunc:
+    """sum c * x**e / prod_j (1 + x**a_j) / prod (x**m - 1)**mult over
+    (c, e, a's) terms and (m, mult) pairs.  Every constant factor of the
+    sum is folded into the integers c by the caller.  As in _regularized,
     1 / (1 + x**a) reads x**-a / (1 + x**-a) for a < 0 and 1/2 for a = 0.
 
     Each denominator is a power of x times cyclotomic factors, so their
@@ -201,7 +203,7 @@ def _plus_one_sum(terms: list, scale: Poly, minus_ones: tuple) -> RatFunc:
     num = ZERO
     for c, e, a_s in terms:
         num = num + Poly.monomial(e + shift, c) * cofactors[a_s]
-    return over_cyclotomics(num * scale, shift, exponents)
+    return over_cyclotomics(num, shift, exponents)
 
 
 def coefficient_terms(
@@ -249,14 +251,14 @@ def q_genocchi_number_shifted(n: int, k: int, conv: Convention) -> QGenocchiValu
     """G_shift(n, k): regularized t**n/n! coefficient of the shifted family.
 
     This is fermionic_sum(coefficient_terms(n, k, "shifted", conv)), added
-    up at once over the lcm of the prefactor's (q**2 - 1) (q**b - 1)**(n-1)
-    and the regularization's 1 + q**(beta2/2).
+    up at once over the lcm of the regularization's 1 + q**(beta2/2) and
+    the prefactor in lowest terms, n / ((q - 1) (q**b - 1)**(n-1)).
     """
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
-    sign, b = (-1) ** (k + 1), conv.base_power
-    terms = [(sign * c, (beta2 + n + 1) * k, (beta2,)) for beta2, c in _beta_coefficients(n, conv)]
-    value = _plus_one_sum(terms, Poly([n, 0, n]), ((4, 1), (2 * b, n - 1)))
+    scale, b = n * (-1) ** (k + 1), conv.base_power
+    terms = [(scale * c, (beta2 + n + 1) * k, (beta2,)) for beta2, c in _beta_coefficients(n, conv)]
+    value = _plus_one_sum(terms, ((2, 1), (2 * b, n - 1)))
     return QGenocchiValue(n, k, "shifted", value)
 
 
@@ -332,8 +334,8 @@ def closed_form_g(n: int, k: int) -> QGenocchiValue:
     terms = []
     for m in range(1, n + 1):
         a = 2 * m - (n - 1)
-        terms.append((comb(n, m) * (-1) ** (m - 1) * m, a - 4, (a - 4, a)))
-    value = _plus_one_sum(terms, Poly([(-1) ** n]), ((2, n),))  # (1 - q)**-n
+        terms.append((comb(n, m) * (-1) ** (n + m - 1) * m, a - 4, (a - 4, a)))
+    value = _plus_one_sum(terms, ((2, n),))  # (1 - q)**-n, its (-1)**n in each c
     return QGenocchiValue(n, k, "plain", value)
 
 
@@ -351,9 +353,9 @@ def closed_form_g_shift(n: int, k: int) -> QGenocchiValue:
         raise ValueError("need n >= 1 and k >= 0")
     terms = []
     for m in range(1, n + 1):
-        scale, a = comb(n, m) * (-1) ** (m - 1 + k) * m, 2 * m - (n - 1)
+        scale, a = comb(n, m) * (-1) ** (n + m - 1 + k) * m, 2 * m - (n - 1)
         terms += [(scale, 2 * (m - 1) * k, (a - 4,)), (-scale, 2 * (m + 1) * k, (a,))]
-    value = _plus_one_sum(terms, Poly([(-1) ** n]), ((2, n),))  # (1 - q)**-n
+    value = _plus_one_sum(terms, ((2, n),))  # (1 - q)**-n, its (-1)**n in each c
     return QGenocchiValue(n, k, "shifted", value)
 
 

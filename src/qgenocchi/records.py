@@ -24,17 +24,8 @@ PASS = "PASS"
 FAIL = "FAIL"
 
 
-def frac_str(value: Fraction | int) -> str:
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def _coeff_list(p: Poly) -> str:
-    if p.is_zero:
-        return "[0]"
-    return "[" + ",".join(frac_str(c) for c in p.coeffs) + "]"
+    return "[" + ",".join(map(str, p.coeffs or (0,))) + "]"
 
 
 def ratfunc_str(f: RatFunc) -> str:
@@ -72,7 +63,7 @@ class VerificationRecord(NamedTuple):
         if isinstance(self.witness, RatFunc):
             out["witness"] = ratfunc_str(self.witness)
         elif self.witness is not None:
-            out["witness"] = frac_str(self.witness)
+            out["witness"] = str(self.witness)
         if self.details:
             out["details"] = dict(self.details)
         return out
@@ -104,9 +95,7 @@ def limit_record(
     limit is a Fraction, or a pole flag (qcore.PoleReport) whose str() is
     reported; a pole is a FAIL without a witness.
     """
+    details = {"limit": str(limit), "classical": str(classical)}
     if isinstance(limit, Fraction):
-        details = {"limit": frac_str(limit), "classical": frac_str(classical)}
-        difference = limit - classical
-        return record_from_difference(identity, params, difference, convention, details)
-    details = {"limit": str(limit), "classical": frac_str(classical)}
+        return record_from_difference(identity, params, limit - classical, convention, details)
     return VerificationRecord(identity, dict(params), convention, FAIL, None, details)

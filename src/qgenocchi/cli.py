@@ -24,7 +24,7 @@ import sys
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from functools import cache
-from itertools import chain
+from itertools import chain, starmap
 from typing import NamedTuple
 
 from . import __version__
@@ -105,53 +105,40 @@ class RunConfig(NamedTuple):
     out_path: str | None
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "n_max": self.n_max,
-            "k_max": self.k_max,
-            "conventions": [c.value for c in self.conventions],
-            "q_eval": str(self.q_eval) if self.q_eval is not None else None,
-            "format": self.format,
-            "out": self.out_path,
-        }
+        fields = self._asdict()
+        fields["out"] = fields.pop("out_path")
+        fields["conventions"] = [c.value for c in self.conventions]
+        fields["q_eval"] = str(self.q_eval) if self.q_eval is not None else None
+        return fields
 
 
-def _numbers_records(cfg: RunConfig) -> Iterator[VerificationRecord]:
-    tables = (
+def _numbers_records(cfg: RunConfig) -> Iterator[tuple[str, Iterable[VerificationRecord]]]:
+    for table in (
         bernoulli_numbers(cfg.n_max),
         euler_numbers(cfg.n_max),
         genocchi_numbers(cfg.n_max),
         order_r_genocchi(2, cfg.n_max),
-    )
-    for table in tables:
-        for i, value in enumerate(table):
-            yield VerificationRecord(table.kind, {"n": i}, details={"value": str(value)})
+    ):
+        yield table.kind, (
+            VerificationRecord(table.kind, {"n": i}, details={"value": str(value)})
+            for i, value in enumerate(table)
+        )
 
 
-def _family(identity: str, cfg: RunConfig, items: Iterable) -> Iterator:
-    try:
-        yield from items
-    except DegreeLimitError as exc:
-        where = f"in {identity} with --nmax {cfg.n_max} --kmax {cfg.k_max}"
-        raise DegreeLimitError(f"{exc} {where}") from exc
+def _qtable_records(cfg: RunConfig) -> Iterator[tuple[str, Iterable[VerificationRecord]]]:
+    def table(identity: str, names: tuple, cells: Iterable) -> Iterator[VerificationRecord]:
+        for *index, f in cells:
+            value = RatFunc(f)
+            details = {"value": ratfunc_str(value)}
+            if cfg.q_eval is not None:
+                try:
+                    details["value_at_q"] = str(evaluate_at_q(value, cfg.q_eval))
+                except ValueError:  # a half-integer power of q at a non-square q
+                    details["value_at_q"] = "REQUIRES-SQUARE-Q"
+            yield VerificationRecord(identity, dict(zip(names, index)), details=details)
 
-
-def _qtable_records(cfg: RunConfig) -> Iterator[VerificationRecord]:
-    binomials = _family("q_binomial", cfg, q_binomial_cells(cfg.n_max))
-    power_sums = _family("q_power_sum", cfg, q_power_sum_cells(cfg.n_max, cfg.k_max))
-    cells = chain(
-        (("q_binomial", {"k": k, "n": n}, f) for n, k, f in binomials),
-        (("q_power_sum", {"m": m, "n": n}, f) for m, n, f in power_sums),
-    )
-    for identity, params, f in cells:
-        value = RatFunc(f)
-        details = {"value": ratfunc_str(value)}
-        if cfg.q_eval is not None:
-            try:
-                details["value_at_q"] = str(evaluate_at_q(value, cfg.q_eval))
-            except ValueError:  # a half-integer power of q at a non-square q
-                details["value_at_q"] = "REQUIRES-SQUARE-Q"
-        yield VerificationRecord(identity, params, details=details)
+    yield "q_binomial", table("q_binomial", ("n", "k"), q_binomial_cells(cfg.n_max))
+    yield "q_power_sum", table("q_power_sum", ("m", "n"), q_power_sum_cells(cfg.n_max, cfg.k_max))
 
 
 def _draw_terms(rng) -> list[tuple[int, tuple[list[int], int, int]]]:
@@ -205,39 +192,44 @@ def shift_law_record() -> VerificationRecord:
     )
 
 
-def _verify_records(cfg: RunConfig) -> Iterator[VerificationRecord]:
-    for n in range(1, cfg.n_max + 1):
-        yield warnaar_check(n)
-        yield garrett_hummel_check(n)
-    for n in range(1, cfg.n_max + 1):
-        for k in range(1, cfg.k_max + 1):
-            diff = faulhaber_sum(n, k) - power_sum(n, k - 1)
-            yield record_from_difference("faulhaber", {"k": k, "n": n}, diff)
-    for k in range(1, cfg.n_max + 1):
-        for n in range(2, cfg.k_max + 1):
-            diff = alt_power_sum_via_euler(k, n) - alt_power_sum(k, n)
-            yield record_from_difference("alt_power_sum", {"k": k, "n": n}, diff)
-            yield alt_sum_formula_check(k, n)
-            yield alt_sum_formula_check(k, n, transposed=True)
-    for conv in cfg.conventions:
-        for n in range(1, cfg.n_max + 1):
-            for k in range(1, cfg.k_max + 1):
-                yield check_alt_qsum(n, k, conv)
-                yield check_closed_form_g(n, k, conv)
-                yield check_closed_form_g_shift(n, k, conv)
-                yield from classical_limit_check(n, k, conv)
-    yield shift_law_record()
+def _verify_records(cfg: RunConfig) -> Iterator[tuple[str, Iterable[VerificationRecord]]]:
+    ns, ks = range(1, cfg.n_max + 1), range(1, cfg.k_max + 1)
+    pairs = [(k, n) for k in ns for n in range(2, cfg.k_max + 1)]
+    cells = [(n, k, conv) for conv in cfg.conventions for n in ns for k in ks]
+    yield "warnaar", map(warnaar_check, ns)
+    yield "garrett_hummel", map(garrett_hummel_check, ns)
+    yield "faulhaber", (
+        record_from_difference(
+            "faulhaber", {"k": k, "n": n}, faulhaber_sum(n, k) - power_sum(n, k - 1)
+        )
+        for n in ns for k in ks
+    )
+    yield "alt_power_sum", (
+        record_from_difference(
+            "alt_power_sum", {"k": k, "n": n}, alt_power_sum_via_euler(k, n) - alt_power_sum(k, n)
+        )
+        for k, n in pairs
+    )
+    yield "alt_sum_formula", starmap(alt_sum_formula_check, pairs)
+    yield "alt_sum_formula_transposed", (alt_sum_formula_check(k, n, True) for k, n in pairs)
+    yield "alt_qsum", starmap(check_alt_qsum, cells)
+    yield "closed_form_g", starmap(check_closed_form_g, cells)
+    yield "closed_form_g_shift", starmap(check_closed_form_g_shift, cells)
+    yield "classical_limit", chain.from_iterable(starmap(classical_limit_check, cells))
+    yield "shift_law", (shift_law_record() for _ in range(1))  # one record
 
 
 class _Subcommand(NamedTuple):
     help: str
-    records: Callable[[RunConfig], Iterable[VerificationRecord]]
+    families: Callable[[RunConfig], Iterable[tuple[str, Iterable[VerificationRecord]]]]
     csv_columns: tuple[str, ...]
     q_columns: tuple[str, ...] = ()  # CSV columns only a run with --q has
 
 
-# The subcommands in `--help` order.  Builders look up what they call at
-# call time, so a wrapper set on a module global (perfbench's tracer) sees it.
+# The subcommands in `--help` order.  A builder yields lazy (identity,
+# records) families, each drawn before the next is made, and looks up what
+# it calls at call time, so a wrapper set on a module global (perfbench's
+# tracer) sees it.
 _SUBCOMMANDS = {
     "numbers": _Subcommand(
         "classical Bernoulli/Euler/Genocchi tables",
@@ -257,9 +249,9 @@ _SUBCOMMANDS = {
     ),
     "limits": _Subcommand(
         "q -> 1 limit checks with pole flags",
-        lambda cfg: chain(
-            _family("q_power_sum_limit", cfg, q_power_sum_limits(cfg.n_max, cfg.k_max)),
-            _family("q_binomial_limit", cfg, q_binomial_limits(cfg.n_max)),
+        lambda cfg: (
+            ("q_power_sum_limit", q_power_sum_limits(cfg.n_max, cfg.k_max)),
+            ("q_binomial_limit", q_binomial_limits(cfg.n_max)),
         ),
         ("identity", "params", "limit", "classical", "status"),
     ),
@@ -267,7 +259,14 @@ _SUBCOMMANDS = {
 
 
 def build_report(cfg: RunConfig) -> dict:
-    records = sorted(_SUBCOMMANDS[cfg.command].records(cfg), key=VerificationRecord.sort_key)
+    records: list[VerificationRecord] = []
+    for identity, family in _SUBCOMMANDS[cfg.command].families(cfg):
+        try:
+            records.extend(family)
+        except DegreeLimitError as exc:
+            where = f"in {identity} with --nmax {cfg.n_max} --kmax {cfg.k_max}"
+            raise DegreeLimitError(f"{exc} {where}") from exc
+    records.sort(key=VerificationRecord.sort_key)
     summary: dict[str, dict[str, int]] = {}
     for rec in records:
         bucket = summary.setdefault(rec.identity, {"PASS": 0, "FAIL": 0})

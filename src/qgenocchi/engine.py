@@ -191,19 +191,19 @@ def _plus_one_sum(terms: list, minus_ones: tuple) -> RatFunc:
     (c, e, a's) terms and (m, mult) pairs.  Every constant factor of the
     sum is folded into the integers c by the caller.  As in _regularized,
     1 / (1 + x**a) reads x**-a / (1 + x**-a) for a < 0 and 1/2 for a = 0.
-
-    Each denominator is a power of x times cyclotomic factors, so their
-    lcm comes from the index sets and the sum over it is reduced by trial
-    division: no gcd and no RatFunc addition.  The lcm and the cofactors
-    are a _frame cached by the index sets, which along k stay the same.
+    That leaves every e >= 0 (Poly.monomial raises on a negative one): in
+    G_shift e = (beta2 + n + 1) * k with beta2 >= -(n + 1), and a closed
+    form's e = a - 4 < 0 sits over its own 1 + x**(a - 4).  So the lcm of
+    the cyclotomic denominators comes from the index sets, and the sum over
+    it is reduced by trial division: no gcd and no RatFunc addition.  The
+    lcm and its cofactors are a _frame cached by index sets, fixed along k.
     """
     terms = [(c, e - sum(min(a, 0) for a in a_s), tuple(map(abs, a_s))) for c, e, a_s in terms]
     cofactors, exponents = _frame(tuple(dict.fromkeys(a_s for *_, a_s in terms)), minus_ones)
-    shift = max(0, -min((e for _, e, _ in terms), default=0))
     num = ZERO
     for c, e, a_s in terms:
-        num = num + Poly.monomial(e + shift, c) * cofactors[a_s]
-    return over_cyclotomics(num, shift, exponents)
+        num = num + Poly.monomial(e, c) * cofactors[a_s]
+    return over_cyclotomics(num, exponents)
 
 
 def coefficient_terms(

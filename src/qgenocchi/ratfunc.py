@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from .poly import ONE, X, ZERO, Poly, Scalar, gcd
+from .poly import ONE, ZERO, Poly, Scalar, gcd
 
 
 class PoleError(ArithmeticError):
@@ -227,15 +227,15 @@ _PROBE = 2**64  # over_cyclotomics gates its trial divisions by values here
 
 @lru_cache(maxsize=None)
 def _factor_power(d: int, s: int) -> tuple[Poly, int]:
-    """Phi_d**s, or x**s for d = 0, and its value at _PROBE."""
-    p = (X if d == 0 else cyclotomic(d)) ** s
+    """Phi_d**s and its value at _PROBE."""
+    p = cyclotomic(d) ** s
     return p, p(_PROBE).numerator
 
 
-def over_cyclotomics(num: Poly, x_power: int, exponents: dict[int, int]) -> RatFunc:
-    """num / (x**x_power * prod_d Phi_d**e_d) in canonical form, with no gcd.
+def over_cyclotomics(num: Poly, exponents: dict[int, int]) -> RatFunc:
+    """num / prod_d Phi_d**e_d in canonical form, with no gcd.
 
-    x and the Phi_d are distinct irreducibles, so exact trial division by
+    The Phi_d are distinct irreducibles, so exact trial division by
     each, as often as its exponent allows, leaves num coprime to the monic
     denominator the remaining exponents build.  A factor is tried at its
     full power first, then at halved powers: a few passes over num each.
@@ -249,7 +249,7 @@ def over_cyclotomics(num: Poly, x_power: int, exponents: dict[int, int]) -> RatF
     for c in reversed(num._nums):
         probe = probe * _PROBE + c
     den = ONE
-    for d, e in [(0, x_power), *exponents.items()]:
+    for d, e in exponents.items():
         step = e
         while step:
             p, value = _factor_power(d, step)

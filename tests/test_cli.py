@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import qgenocchi
-from qgenocchi import RatFunc, cli
+from qgenocchi import DegreeLimitError, RatFunc, VerificationRecord, cli
 from qgenocchi.cli import (
     HARD_IDENTITIES,
     NUMBERS_MAX_N,
@@ -260,13 +260,6 @@ def test_bad_degree_cap_exits_two(run_module, value):
         )
 
 
-def test_degree_cap_exceeded_exits_four(run_module):
-    done = run_module(["verify", "--nmax", "4", "--kmax", "4"], QGL_MAX_DEGREE="30")
-    assert done.returncode == 4
-    assert done.stdout == ""
-    assert re.fullmatch(r"qgenocchi: degree \d+ exceeds QGL_MAX_DEGREE=30\n", done.stderr)
-
-
 @pytest.mark.parametrize(
     "argv, family",
     [
@@ -274,6 +267,8 @@ def test_degree_cap_exceeded_exits_four(run_module):
         ("limits --nmax 9 --kmax 1", "q_binomial_limit"),
         ("qtable --nmax 2 --kmax 9", "q_power_sum"),
         ("qtable --nmax 9 --kmax 1", "q_binomial"),
+        ("verify --nmax 4 --kmax 4", "alt_qsum"),
+        ("verify --nmax 9 --kmax 1", "warnaar"),
     ],
 )
 def test_degree_cap_error_names_the_family(run_module, argv, family):
@@ -286,6 +281,32 @@ def test_degree_cap_error_names_the_family(run_module, argv, family):
         rf"with --nmax {nmax} --kmax {kmax}\n",
         done.stderr,
     )
+
+
+def test_runner_names_the_family_that_trips_the_cap(monkeypatch):
+    # The second family raises after one record: build_report re-raises
+    # with that family's name and the grid flags, whatever the builder is.
+    drawn = []
+
+    def second():
+        drawn.append("second")
+        yield VerificationRecord("second", {"n": 1})
+        raise DegreeLimitError("degree 31 exceeds QGL_MAX_DEGREE=30")
+
+    def families(cfg):
+        yield "first", iter([VerificationRecord("first", {"n": 1})])
+        yield "second", second()
+        drawn.append("third")
+        yield "third", iter([])
+
+    stub = cli._SUBCOMMANDS["verify"]._replace(families=families)
+    monkeypatch.setitem(cli._SUBCOMMANDS, "verify", stub)
+    parser = build_parser()
+    cfg = config_from_args(parser.parse_args(["verify", "--nmax", "3", "--kmax", "2"]), parser)
+    with pytest.raises(DegreeLimitError) as info:
+        cli.build_report(cfg)
+    assert str(info.value) == "degree 31 exceeds QGL_MAX_DEGREE=30 in second with --nmax 3 --kmax 2"
+    assert drawn == ["second"]
 
 
 def test_numbers_nmax_above_cap_exits_two(run_module):

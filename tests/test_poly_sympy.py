@@ -255,20 +255,19 @@ cyclotomic_orders = st.integers(min_value=1, max_value=30)
     st.lists(cyclotomic_orders, max_size=5),
     st.integers(min_value=0, max_value=3),
     st.lists(cyclotomic_orders, max_size=6),
-    st.integers(min_value=0, max_value=3),
 )
-def test_over_cyclotomics_matches_gcd_route(content, num_orders, num_x, den_orders, den_x):
+def test_over_cyclotomics_matches_gcd_route(content, num_orders, num_x, den_orders):
     # num shares some, all or none of the denominator's factors, with
     # multiplicities on both sides; the gcd route is the reference.
     num = Poly.monomial(num_x, content)
     for d in num_orders:
         num = num * cyclotomic(d)
     exponents: dict[int, int] = {}
-    den = Poly.monomial(den_x)
+    den = Poly([1])
     for d in den_orders:
         exponents[d] = exponents.get(d, 0) + 1
         den = den * cyclotomic(d)
-    got = over_cyclotomics(num, den_x, exponents)
+    got = over_cyclotomics(num, exponents)
     want = RatFunc(num, den)
     assert (got.num, got.den) == (want.num, want.den)
 
@@ -280,22 +279,21 @@ def test_over_cyclotomics_matches_gcd_route(content, num_orders, num_x, den_orde
     st.dictionaries(
         st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=3), max_size=4
     ),
-    st.integers(min_value=0, max_value=4),
     st.lists(st.integers(min_value=2, max_value=9).flatmap(lambda t: st.sampled_from([t, -t])), max_size=4),
     st.sampled_from(["random", "multiple", "coprime"]),
 )
-def test_probe_gate_agrees_with_gcd_route(base, exponents, x_power, roots, shape):
+def test_probe_gate_agrees_with_gcd_route(base, exponents, roots, shape):
     # The trial divisions in over_cyclotomics run only where a value at a
     # large integer allows them.  A multiple of the whole denominator needs
     # every division let through; a product of x - t with |t| >= 2 shares
-    # no root with x or any Phi_d, so it needs every division skipped.
-    den = prod((cyclotomic(d) ** e for d, e in exponents.items()), start=Poly.monomial(x_power))
+    # no root with any Phi_d, so it needs every division skipped.
+    den = prod((cyclotomic(d) ** e for d, e in exponents.items()), start=Poly([1]))
     num = {
         "random": base,
         "multiple": base * den,
         "coprime": prod((X - t for t in roots), start=Poly([base.leading])),
     }[shape]
-    got = over_cyclotomics(num, x_power, exponents)
+    got = over_cyclotomics(num, exponents)
     want = RatFunc(num, den)
     assert (got.num, got.den) == (want.num, want.den)
     assert_cancel_matches_sympy(num, den)

@@ -1,10 +1,11 @@
 """Classical Bernoulli, Euler, and Genocchi families, computed exactly.
 
-The number tables come from binomial-convolution recurrences on Python
-integers over one known denominator per table (the n!-scaled basis of
-Brent and Harvey, "Fast computation of Bernoulli, Tangent and Secant
-numbers", 2011).  B, E and G each have their own recurrence, so the
-relations between them stay a real check.  The Euler and Genocchi
+The number tables are built on Python integers over one known denominator
+per table (the n!-scaled basis of Brent and Harvey, "Fast computation of
+Bernoulli, Tangent and Secant numbers", 2011).  B and G come from their
+own Pascal-rule recurrences and E from the tangent numbers, so the
+relations between the three stay a real check; the order-r tables come
+from E by one derivative step per order.  The Euler and Genocchi
 polynomial values are read off the order-1 table at x.
 
 Conventions:
@@ -27,7 +28,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb, factorial, lcm
 from operator import add, mul
 
 from .records import VerificationRecord, record_from_difference
@@ -65,17 +66,16 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _pascal_rows(n_max: int, weight: int = 1):
-    """Rows C(n, i) * weight**(n-i), i = 0 .. n, for n = 0 .. n_max.
+def _pascal_rows(n_max: int):
+    """Rows C(n, i), i = 0 .. n, for n = 0 .. n_max.
 
     Each row comes from the one before by the Pascal rule, with no products
-    of binomials: W(n+1, i) = weight * W(n, i) + W(n, i-1).
+    of binomials: C(n+1, i) = C(n, i) + C(n, i-1).
     """
     row = [1]
     for _ in range(n_max + 1):
         yield row
-        scaled = row if weight == 1 else [weight * v for v in row]
-        row = [*map(add, [*scaled, 0], [0, *row])]
+        row = [*map(add, [*row, 0], [0, *row])]
 
 
 def _exact_quotient(numerator: int, divisor: int) -> int:
@@ -96,14 +96,22 @@ def _binomial_convolution(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _scaled_euler(n_max: int) -> tuple[int, ...]:
-    """The integers e_n = 2**n * E_n for n = 0 .. n_max.
+    """The integers e_n = 2**n * E_n for n = 0 .. n_max, from tangent numbers.
 
-    2*E_n + sum_{i<n} C(n, i) * E_i = 2*[n = 0], times 2**n, reads
-    2*e_n + sum_{i<n} C(n, i) * 2**(n-i) * e_i = 2*[n = 0].
+    Their EGF is 2/(exp(2t)+1) = 1 - tanh(t), so e_0 = 1,
+    e_(2m-1) = (-1)**m * T_m and the other e_n vanish.  T_1 .. T_m come
+    from Brent and Harvey's in-place recurrence: t_j starts at j!, and
+    each pass k rewrites t_j = (j-k)*t_(j-1) + (j-k+2)*t_j for j >= k,
+    which multiplies only by small integers.
     """
-    e: list[int] = []
-    for n, row in enumerate(_pascal_rows(n_max, weight=2)):
-        e.append(_exact_quotient(2 * (n == 0) - sum(map(mul, row, e)), 2))
+    m = (n_max + 1) // 2
+    t = [factorial(j) for j in range(m)]  # t[j] ends as T_(j+1)
+    for k in range(1, m):
+        for j in range(k, m):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    e = [0] * (n_max + 1)
+    e[0] = 1
+    e[1::2] = [-v if j % 2 == 0 else v for j, v in enumerate(t)]
     return tuple(e)
 
 
@@ -150,21 +158,26 @@ def genocchi_numbers(n_max: int) -> NumberTable:
 def order_r_genocchi(r: int, n_max: int, x: Fraction = Fraction(0)) -> NumberTable:
     """G^(r)_0(x) .. G^(r)_n_max(x) from 2*(1/(1+exp(t)))**r * exp(x*t).
 
-    With h the r-fold EGF product e * ... * e of the scaled Euler numbers
-    and x = a/b in lowest terms, G^(r)_n(x) is the integer
-    sum_i C(n, i) * h_i * b**i * (2a)**(n-i) over 2**(n+r-1) * b**n.
+    The scaled numbers h^(r)_n = 2**(n+r-1) * G^(r)_n(0) are integers with
+    EGF (2/(exp(2t)+1))**r.  Since u = 1/(1+exp(s)) has u' = u**2 - u,
+    u**(r+1) = u**r + (1/r) * d/ds u**r, which reads
+    h^(r+1)_n = 2*h^(r)_n + h^(r)_(n+1) / r: one exact pass per order,
+    starting from h^(1) = e.  With x = a/b in lowest terms, G^(r)_n(x) is
+    the integer sum_i C(n, i) * h_i * b**i * (2a)**(n-i) over
+    2**(n+r-1) * b**n, which is h_n itself at x = 0.
     """
     _require(r >= 1, "order r must be >= 1")
     _require(n_max >= 0, "n_max must be >= 0")
     x = Fraction(x)
-    e = _scaled_euler(n_max)
-    h = e
-    for _ in range(r - 1):
-        h = _binomial_convolution(h, e)
+    h = _scaled_euler(n_max + r - 1)
+    for s in range(1, r):
+        h = [2 * v + _exact_quotient(w, s) for v, w in zip(h, h[1:])]
     a, b = x.numerator, x.denominator
-    numerators = _binomial_convolution(
-        [v * b**i for i, v in enumerate(h)], [(2 * a) ** j for j in range(n_max + 1)]
-    )
+    numerators = h
+    if a:
+        numerators = _binomial_convolution(
+            [v * b**i for i, v in enumerate(h)], [(2 * a) ** j for j in range(n_max + 1)]
+        )
     values = tuple(Fraction(v, b**n << (n + r - 1)) for n, v in enumerate(numerators))
     return NumberTable(f"G^({r})", values)
 

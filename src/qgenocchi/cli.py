@@ -89,9 +89,11 @@ SHIFT_LAW_TRIALS = 200
 SHIFT_LAW_MAX_SHIFT = 6
 SHIFT_LAW_SEED = 271828
 
-# Largest `numbers --nmax`.  The tables cost O(N**2) operations on integers
-# of O(N log N) bits, so the time grows faster than N**3: N = 1000 takes a
-# few seconds and about 35 MB, and larger values are refused with exit 2.
+# Largest `numbers --nmax`.  The B and G tables cost O(N**2) products of
+# integers of O(N log N) bits, so the time grows faster than N**3 (E and
+# the order-2 table take only small-integer multiples): N = 1000 takes
+# about 2.5 s and 32 MB on a 2.1 GHz Xeon, and larger values are refused
+# with exit 2.
 NUMBERS_MAX_N = 1000
 
 

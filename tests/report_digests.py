@@ -47,4 +47,9 @@ REPORT_DIGESTS = {
         "911b0aa6c30de4ce332142be212188a4280d24a6325110a6018a39577c9fe921",
     "qtable --nmax 8 --kmax 8":
         "bb3f13dd83c568df55379cc91d90750ef7c32aaf1fcf7ec5cb734854b77955dd",
+    # Whole classical tables, far past the series oracle's n <= 80.
+    "numbers --nmax 200":
+        "190b65277e2cf1016eaa8236089cf2714622ad3c1347eb1876e08c3cf1f826d2",
+    "numbers --nmax 1000":
+        "6f881ece3f69c26101043f434cb9e5e2b0b67b34a6bbbf17b7ee0b55f9d2fac1",
 }

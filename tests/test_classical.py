@@ -1,6 +1,7 @@
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from operator import add, mul
 
 import pytest
 from hypothesis import given
@@ -83,6 +84,41 @@ def euler_at_zero_oracle(n):
     return Fraction(2) * (1 - 2 ** (n + 1)) * AT_BERNOULLI[n + 1] / (n + 1)
 
 
+@lru_cache(maxsize=None)
+def pascal_rule_scaled_euler(n_max):
+    """Reference e_n = 2**n * E_n by the Pascal-rule recurrence
+
+    2*e_n + sum_{i<n} C(n, i) * 2**(n-i) * e_i = 2*[n = 0],
+
+    over rows C(n, i) * 2**(n-i) built by W(n+1, i) = 2*W(n, i) + W(n, i-1).
+    """
+    e = []
+    row = [1]
+    for n in range(n_max + 1):
+        e.append(classical._exact_quotient(2 * (n == 0) - sum(map(mul, row, e)), 2))
+        row = [*map(add, [*(2 * v for v in row), 0], [0, *row])]
+    return tuple(e)
+
+
+def binomial_convolution(a, b):
+    """EGF product: c_n = sum_i C(n, i) * a_i * b_(n-i)."""
+    return [sum(comb(n, i) * a[i] * b[n - i] for i in range(n + 1)) for n in range(len(a))]
+
+
+def convolution_order_r_genocchi(r, n_max, x):
+    """Reference G^(r)_n(x): the r-fold EGF product h of the scaled Euler
+    numbers gives G^(r)_n(0) = h_n / 2**(n+r-1), then a binomial sum in x."""
+    e = pascal_rule_scaled_euler(n_max)
+    h = e
+    for _ in range(r - 1):
+        h = binomial_convolution(h, e)
+    at_zero = [Fraction(v, 2 ** (n + r - 1)) for n, v in enumerate(h)]
+    return [
+        sum((comb(n, i) * at_zero[i] * x ** (n - i) for i in range(n + 1)), Fraction(0))
+        for n in range(n_max + 1)
+    ]
+
+
 def test_bernoulli_against_triangle_oracle():
     table = bernoulli_numbers(40)
     for n in range(41):
@@ -127,7 +163,7 @@ def test_tables_match_series_oracle():
 
 
 @given(
-    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=5),
     st.integers(min_value=0, max_value=25),
     st.fractions(min_value=-20, max_value=20, max_denominator=50),
 )
@@ -135,6 +171,33 @@ def test_order_r_genocchi_matches_series_oracle(r, n_max, x):
     table = order_r_genocchi(r, n_max, x)
     gf = series_order_r_gf(r, n_max, x)
     assert list(table) == [gf.factorial_coeff(n) for n in range(n_max + 1)]
+
+
+def test_scaled_euler_matches_pascal_rule_reference():
+    reference = pascal_rule_scaled_euler(300)
+    for n in range(301):
+        assert classical._scaled_euler(n) == reference[: n + 1], n
+
+
+REFERENCE_XS = [Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(7, 3)]
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_order_r_genocchi_matches_convolution_reference(r):
+    for n_max in (0, 1, 2, 9, 40):
+        for x in REFERENCE_XS:
+            expected = convolution_order_r_genocchi(r, n_max, x)
+            assert list(order_r_genocchi(r, n_max, x)) == expected, (n_max, x)
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 5, 30, 31])
+def test_tables_are_prefix_stable(n_max):
+    longer = classical._scaled_euler(n_max + 3)
+    assert classical._scaled_euler(n_max) == longer[: n_max + 1]
+    for r in (1, 2, 5):
+        for x in REFERENCE_XS:
+            longer = order_r_genocchi(r, n_max + 3, x)
+            assert order_r_genocchi(r, n_max, x).values == longer.values[: n_max + 1]
 
 
 def test_bernoulli_against_triangle_oracle_to_100():
@@ -164,17 +227,29 @@ def test_bernoulli_step_raises_without_its_denominator(monkeypatch, fresh_tables
         bernoulli_numbers(4)
 
 
-@pytest.mark.parametrize("build", [genocchi_numbers, euler_numbers])
+@pytest.mark.parametrize("build", [genocchi_numbers])
 def test_halving_step_raises_on_an_odd_sum(monkeypatch, fresh_tables, build):
     pascal_rows = classical._pascal_rows
 
-    def off_by_one(n_max, weight=1):
-        for n, row in enumerate(pascal_rows(n_max, weight)):
+    def off_by_one(n_max):
+        for n, row in enumerate(pascal_rows(n_max)):
             yield [row[0], row[1] + 1, *row[2:]] if n >= 1 else row
 
     monkeypatch.setattr(classical, "_pascal_rows", off_by_one)
     with pytest.raises(ArithmeticError):
         build(6)
+
+
+def test_order_step_raises_on_a_corrupted_euler_table(monkeypatch, fresh_tables):
+    scaled_euler = classical._scaled_euler
+
+    def off_by_one(n_max):
+        e = scaled_euler(n_max)
+        return (*e[:3], e[3] + 1, *e[4:])
+
+    monkeypatch.setattr(classical, "_scaled_euler", off_by_one)
+    with pytest.raises(ArithmeticError):
+        order_r_genocchi(3, 6)
 
 
 def test_genocchi_anchors():

@@ -1,12 +1,13 @@
 """Classical Bernoulli, Euler, and Genocchi families, computed exactly.
 
-The number tables are built on Python integers over one known denominator
-per table (the n!-scaled basis of Brent and Harvey, "Fast computation of
-Bernoulli, Tangent and Secant numbers", 2011).  B and G come from their
-own Pascal-rule recurrences and E from the tangent numbers, so the
-relations between the three stay a real check; the order-r tables come
-from E by one derivative step per order.  The Euler and Genocchi
-polynomial values are read off the order-1 table at x.
+The number tables are built on Python integers by three unrelated
+algorithms, so the relations between B, E and G stay a real check: B
+from the zigzag numbers of the Seidel-Entringer-Arnold boustrophedon, G
+from Seidel's Genocchi triangle (both by additions only), and E from the
+tangent numbers by Brent and Harvey's in-place recurrence ("Fast
+computation of Bernoulli, Tangent and Secant numbers", 2011).  The
+order-r tables come from E by one derivative step per order.  The Euler
+and Genocchi polynomial values are read off the order-1 table at x.
 
 Conventions:
 
@@ -28,7 +29,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from itertools import accumulate
+from math import comb, factorial
 from operator import add, mul
 
 from .records import VerificationRecord, record_from_difference
@@ -115,42 +117,76 @@ def _scaled_euler(n_max: int) -> tuple[int, ...]:
     return tuple(e)
 
 
+def _boustrophedon(n_max: int):
+    """Rows 0 .. n_max of the Seidel-Entringer-Arnold boustrophedon.
+
+    Row 0 is [1]; row_n[0] = 0 and row_n[i] = row_n[i-1] + row_(n-1)[n-i],
+    so row n ends with the zigzag number A_n (A_(2m-1) = T_m, the tangent
+    numbers).
+    """
+    row = [1]
+    for _ in range(n_max + 1):
+        yield row
+        row = [0, *accumulate(reversed(row))]
+
+
 @lru_cache(maxsize=None)
 def bernoulli_numbers(n_max: int) -> NumberTable:
     """B_0 .. B_n_max from t/(exp(t)-1); B_1 = -1/2.
 
-    sum_{i<=n} C(n+1, i) * B_i = [n = 0], solved for b_n = D * B_n with
-    D = lcm(1 .. n_max+1), which clears every denominator (von
-    Staudt-Clausen), so each step is an exact integer division by n+1.
+    B_2m = (-1)**(m-1) * 2m * A_(2m-1) / (4**m * (4**m - 1)) with the zigzag
+    numbers A_n of the boustrophedon; the odd B_n above B_1 vanish.
     """
     _require(n_max >= 0, "n_max must be >= 0")
-    denominator = lcm(*range(1, n_max + 2))
-    rows = _pascal_rows(n_max + 1)
-    next(rows)
-    b: list[int] = []
-    for n, row in enumerate(rows):
-        b.append(_exact_quotient((n == 0) * denominator - sum(map(mul, row, b)), n + 1))
-    return NumberTable("B", tuple(Fraction(v, denominator) for v in b))
+    b = [Fraction(0)] * (n_max + 1)
+    b[0] = Fraction(1)
+    if n_max:
+        b[1] = Fraction(-1, 2)
+    for n, row in enumerate(_boustrophedon(n_max - 1)):
+        if n % 2:
+            m = (n + 1) // 2
+            power = 4**m
+            b[n + 1] = Fraction((-1) ** (m - 1) * 2 * m * row[-1], power * (power - 1))
+    return NumberTable("B", tuple(b))
 
 
 @lru_cache(maxsize=None)
 def euler_numbers(n_max: int) -> NumberTable:
     """E_0 .. E_n_max from 2/(exp(t)+1); E_1 = -1/2."""
     _require(n_max >= 0, "n_max must be >= 0")
-    values = tuple(Fraction(v, 1 << n) for n, v in enumerate(_scaled_euler(n_max)))
-    return NumberTable("E", values)
+    # One term more than needed, the walk order_r_genocchi(2, n_max) asks
+    # for too: `numbers` then runs the tangent recurrence once.
+    e = _scaled_euler(n_max + 1)
+    return NumberTable("E", tuple(Fraction(e[n], 1 << n) for n in range(n_max + 1)))
+
+
+def _seidel_rows(m_max: int):
+    """Rows 1 .. m_max of Seidel's triangle for the Genocchi numbers (Seidel
+    1877; Dumont, Duke Math. J. 41, 1974); row m ends with |G_2m|.
+
+    Row 1 is the suffix sums of [1], and row m+1 the suffix sums of the
+    prefix sums of row m with the last prefix sum repeated.
+    """
+    row = [1]
+    for _ in range(m_max):
+        row = [*accumulate(reversed(row))][::-1]
+        yield row
+        row = [*accumulate(row)]
+        row.append(row[-1])
 
 
 @lru_cache(maxsize=None)
 def genocchi_numbers(n_max: int) -> NumberTable:
     """G_0 .. G_n_max from 2t/(exp(t)+1); G_1 = 1, odd values above vanish.
 
-    The integers G_n solve 2*G_n + sum_{i<n} C(n, i) * G_i = 2*[n = 1].
+    G_2m = (-1)**m * |G_2m| with |G_2m| from Seidel's triangle.
     """
     _require(n_max >= 0, "n_max must be >= 0")
-    g: list[int] = []
-    for n, row in enumerate(_pascal_rows(n_max)):
-        g.append(_exact_quotient(2 * (n == 1) - sum(map(mul, row, g)), 2))
+    g = [0] * (n_max + 1)
+    if n_max:
+        g[1] = 1
+    for m, row in enumerate(_seidel_rows(n_max // 2), 1):
+        g[2 * m] = -row[-1] if m % 2 else row[-1]
     return NumberTable("G", tuple(Fraction(v) for v in g))
 
 

@@ -89,11 +89,10 @@ SHIFT_LAW_TRIALS = 200
 SHIFT_LAW_MAX_SHIFT = 6
 SHIFT_LAW_SEED = 271828
 
-# Largest `numbers --nmax`.  The B and G tables cost O(N**2) products of
-# integers of O(N log N) bits, so the time grows faster than N**3 (E and
-# the order-2 table take only small-integer multiples): N = 1000 takes
-# about 2.5 s and 32 MB on a 2.1 GHz Xeon, and larger values are refused
-# with exit 2.
+# Largest `numbers --nmax`.  Each table costs O(N**2) additions or
+# small-integer multiples of integers of O(N log N) bits, so the time grows
+# like N**3 log N: N = 1000 takes about 0.65 s and 33 MB on a 2-CPU Xeon
+# host, and larger values are refused with exit 2.
 NUMBERS_MAX_N = 1000
 
 

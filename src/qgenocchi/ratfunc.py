@@ -222,7 +222,7 @@ def cyclotomic_indices(m: int, sign: int) -> tuple[int, ...]:
     return tuple(d for d in range(1, top + 1) if top % d == 0 and (sign < 0 or m % d))
 
 
-_PROBE = 2**64  # over_cyclotomics gates its trial divisions by values here
+_PROBE = 2**16  # over_cyclotomics gates its trial divisions by values here
 
 
 @lru_cache(maxsize=None)
@@ -239,9 +239,12 @@ def over_cyclotomics(num: Poly, exponents: dict[int, int]) -> RatFunc:
     each, as often as its exponent allows, leaves num coprime to the monic
     denominator the remaining exponents build.  A factor is tried at its
     full power first, then at halved powers: a few passes over num each.
-    A monic p**s that divides num's integer numerator P also divides P's
-    value at the integer _PROBE, so a division runs only when p(_PROBE)**s
-    divides P(_PROBE): the gate skips only divisions that would fail.
+    A monic p**s that divides num's integer numerator P leaves an integer
+    quotient Q, so P(B) = p(B)**s * Q(B) at every integer B: a division runs
+    only when p(_PROBE)**s divides P(_PROBE), and the gate skips only
+    divisions that would fail.  That holds at any integer B >= 2, where
+    no p(B) is 0; a probe of 16 bits keeps P(_PROBE), and the Horner walk
+    that builds it, small.
     """
     if num.is_zero:
         return R_ZERO

@@ -50,6 +50,10 @@ REPORT_DIGESTS = {
     # Whole classical tables, far past the series oracle's n <= 80.
     "numbers --nmax 200":
         "190b65277e2cf1016eaa8236089cf2714622ad3c1347eb1876e08c3cf1f826d2",
+    # Odd N: the last B and G are odd-index zeros, and E's last entry is
+    # the one tangent number past N // 2.
+    "numbers --nmax 201":
+        "dd56d21c3abc8cd5c58beb08799360bdfae55895bbf37d348ee3fef69d0641a8",
     "numbers --nmax 1000":
         "6f881ece3f69c26101043f434cb9e5e2b0b67b34a6bbbf17b7ee0b55f9d2fac1",
 }

@@ -1,13 +1,13 @@
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 from operator import add, mul
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qgenocchi import classical
+from qgenocchi import classical, cli
 from qgenocchi.classical import (
     alt_power_sum,
     alt_power_sum_via_euler,
@@ -98,6 +98,31 @@ def pascal_rule_scaled_euler(n_max):
         e.append(classical._exact_quotient(2 * (n == 0) - sum(map(mul, row, e)), 2))
         row = [*map(add, [*(2 * v for v in row), 0], [0, *row])]
     return tuple(e)
+
+
+@lru_cache(maxsize=None)
+def pascal_rule_bernoulli(n_max):
+    """Reference B_0 .. B_n_max: sum_{i<=n} C(n+1, i) * B_i = [n = 0], solved
+    for b_n = D * B_n with D = lcm(1 .. n_max+1), which clears every
+    denominator (von Staudt-Clausen), so each step is an exact integer
+    division by n + 1."""
+    denominator = lcm(*range(1, n_max + 2))
+    rows = classical._pascal_rows(n_max + 1)
+    next(rows)
+    b = []
+    for n, row in enumerate(rows):
+        total = (n == 0) * denominator - sum(map(mul, row, b))
+        b.append(classical._exact_quotient(total, n + 1))
+    return tuple(Fraction(v, denominator) for v in b)
+
+
+@lru_cache(maxsize=None)
+def pascal_rule_genocchi(n_max):
+    """Reference G_0 .. G_n_max: 2*G_n + sum_{i<n} C(n, i) * G_i = 2*[n = 1]."""
+    g = []
+    for n, row in enumerate(classical._pascal_rows(n_max)):
+        g.append(classical._exact_quotient(2 * (n == 1) - sum(map(mul, row, g)), 2))
+    return tuple(Fraction(v) for v in g)
 
 
 def binomial_convolution(a, b):
@@ -200,6 +225,30 @@ def test_tables_are_prefix_stable(n_max):
             assert order_r_genocchi(r, n_max, x).values == longer.values[: n_max + 1]
 
 
+@pytest.mark.parametrize(
+    "build, reference",
+    [(bernoulli_numbers, pascal_rule_bernoulli), (genocchi_numbers, pascal_rule_genocchi)],
+)
+def test_tables_match_pascal_rule_reference(build, reference):
+    expected = reference(400)
+    assert build(400).values == expected
+    for n_max in (0, 1, 2, 3, 4, 199, 200, 201):
+        assert build(n_max).values == expected[: n_max + 1], n_max
+
+
+def test_three_tables_agree_to_500():
+    b, e, g = bernoulli_numbers(500), euler_numbers(500), genocchi_numbers(500)
+    for m in range(1, 251):
+        assert g[2 * m] == 2 * (1 - 4**m) * b[2 * m] == 2 * m * e[2 * m - 1], m
+
+
+@pytest.mark.parametrize("n_max", [200, 201])
+def test_numbers_runs_one_tangent_walk(capsys, fresh_tables, n_max):
+    assert cli.main(["numbers", "--nmax", str(n_max)]) == 0
+    capsys.readouterr()
+    assert classical._scaled_euler.cache_info().misses == 1
+
+
 def test_bernoulli_against_triangle_oracle_to_100():
     assert list(bernoulli_numbers(100)) == akiyama_tanigawa(100)
 
@@ -221,23 +270,28 @@ def test_exact_quotient_refuses_a_remainder():
         classical._exact_quotient(-7, 2)
 
 
-def test_bernoulli_step_raises_without_its_denominator(monkeypatch, fresh_tables):
-    monkeypatch.setattr(classical, "lcm", lambda *args: 1)
-    with pytest.raises(ArithmeticError):
-        bernoulli_numbers(4)
+def off_by_one_row(rows_of, index):
+    """rows_of with entry 1 of row `index` raised by one, in place, so the
+    rows built from it inherit the error."""
+
+    def rows(n_max):
+        for n, row in enumerate(rows_of(n_max)):
+            if n == index:
+                row[1] += 1
+            yield row
+
+    return rows
 
 
-@pytest.mark.parametrize("build", [genocchi_numbers])
-def test_halving_step_raises_on_an_odd_sum(monkeypatch, fresh_tables, build):
-    pascal_rows = classical._pascal_rows
-
-    def off_by_one(n_max):
-        for n, row in enumerate(pascal_rows(n_max)):
-            yield [row[0], row[1] + 1, *row[2:]] if n >= 1 else row
-
-    monkeypatch.setattr(classical, "_pascal_rows", off_by_one)
-    with pytest.raises(ArithmeticError):
-        build(6)
+@pytest.mark.parametrize("rows", ["_boustrophedon", "_seidel_rows"])
+def test_an_off_by_one_row_entry_fails_the_relations(monkeypatch, fresh_tables, rows):
+    assert genocchi_relations_check(5).passed
+    classical.bernoulli_numbers.cache_clear()
+    classical.genocchi_numbers.cache_clear()
+    monkeypatch.setattr(classical, rows, off_by_one_row(getattr(classical, rows), 3))
+    record = genocchi_relations_check(5)
+    assert not record.passed
+    assert record.witness != 0
 
 
 def test_order_step_raises_on_a_corrupted_euler_table(monkeypatch, fresh_tables):

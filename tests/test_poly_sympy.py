@@ -283,8 +283,8 @@ def test_over_cyclotomics_matches_gcd_route(content, num_orders, num_x, den_orde
     st.sampled_from(["random", "multiple", "coprime"]),
 )
 def test_probe_gate_agrees_with_gcd_route(base, exponents, roots, shape):
-    # The trial divisions in over_cyclotomics run only where a value at a
-    # large integer allows them.  A multiple of the whole denominator needs
+    # The trial divisions in over_cyclotomics run only where a value at an
+    # integer probe allows them.  A multiple of the whole denominator needs
     # every division let through; a product of x - t with |t| >= 2 shares
     # no root with any Phi_d, so it needs every division skipped.
     den = prod((cyclotomic(d) ** e for d, e in exponents.items()), start=Poly([1]))

@@ -7,9 +7,10 @@ the full identity grid.  Reports are emitted as JSON or CSV, to stdout or
 a file, and identical configurations always produce byte-identical output.
 
 Exit codes: 0 when every hard identity in the run passed, 1 when any hard
-identity failed, 2 for bad flags (`numbers --nmax` above NUMBERS_MAX_N
-included) or a bad QGL_MAX_DEGREE, 3 for an I/O failure while writing the
-report, 4 when a polynomial outgrew the QGL_MAX_DEGREE cap during the run.
+identity failed, 2 for bad flags (a flag the subcommand does not read, or
+`numbers --nmax` above NUMBERS_MAX_N) or a bad QGL_MAX_DEGREE, 3 for an
+I/O failure while writing the report, 4 when a polynomial outgrew the
+QGL_MAX_DEGREE cap during the run.
 Report-only identities (the printed closed forms and the classical-limit
 comparisons) never affect the exit code.
 """
@@ -97,13 +98,14 @@ NUMBERS_MAX_N = 1000
 
 
 class RunConfig(NamedTuple):
+    # The defaults are the CLI's; `config` prints them for unread flags too.
     command: str
-    n_max: int
-    k_max: int
-    conventions: tuple[Convention, ...]
-    q_eval: Fraction | None
-    format: str
-    out_path: str | None
+    n_max: int = 8
+    k_max: int = 8
+    conventions: tuple[Convention, ...] = CONVENTIONS
+    q_eval: Fraction | None = None
+    format: str = "json"
+    out_path: str | None = None
 
     def to_dict(self) -> dict:
         fields = self._asdict()
@@ -222,6 +224,7 @@ def _verify_records(cfg: RunConfig) -> Iterator[tuple[str, Iterable[Verification
 
 class _Subcommand(NamedTuple):
     help: str
+    flags: tuple[str, ...]  # the grid flags its builder reads
     families: Callable[[RunConfig], Iterable[tuple[str, Iterable[VerificationRecord]]]]
     csv_columns: tuple[str, ...]
     q_columns: tuple[str, ...] = ()  # CSV columns only a run with --q has
@@ -234,22 +237,26 @@ class _Subcommand(NamedTuple):
 _SUBCOMMANDS = {
     "numbers": _Subcommand(
         "classical Bernoulli/Euler/Genocchi tables",
+        ("--nmax",),
         _numbers_records,
         ("identity", "index", "value"),
     ),
     "qtable": _Subcommand(
         "q-binomial and q-power-sum tables",
+        ("--nmax", "--kmax", "--q"),
         _qtable_records,
         ("identity", "params", "value"),
         ("value_at_q",),
     ),
     "verify": _Subcommand(
         "run the full identity grid",
+        ("--nmax", "--kmax", "--convention"),
         _verify_records,
         ("identity", "params", "convention", "status", "witness"),
     ),
     "limits": _Subcommand(
         "q -> 1 limit checks with pole flags",
+        ("--nmax", "--kmax"),
         lambda cfg: (
             ("q_power_sum_limit", q_power_sum_limits(cfg.n_max, cfg.k_max)),
             ("q_binomial_limit", q_binomial_limits(cfg.n_max)),
@@ -322,11 +329,32 @@ def render_report(report: dict, fmt: str) -> str:
     return buf.getvalue()
 
 
-def _parse_fraction(text: str) -> Fraction:
+def _q_value(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
+        q = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        q = None
+    if q is None or not 0 < q < 1:
+        raise argparse.ArgumentTypeError(f"not a rational strictly between 0 and 1: {text!r}")
+    return q
+
+
+def _conventions(text: str) -> tuple[Convention, ...]:
+    try:
+        return CONVENTIONS if text == "all" else (Convention.parse(text),)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not one of q, q2, all: {text!r}") from exc
+
+
+# Each grid flag once: (RunConfig field, argparse type, metavar, help).  A
+# subcommand takes the grid flags its entry above lists, then --format and
+# --out; a field no flag of the subcommand sets keeps its RunConfig default.
+_GRID_FLAGS = {
+    "--nmax": ("n_max", int, "NMAX", "first grid bound"),
+    "--kmax": ("k_max", int, "KMAX", "second grid bound"),
+    "--q": ("q_eval", _q_value, "P/Q", "rational sample point in (0,1) for table evaluation"),
+    "--convention": ("conventions", _conventions, "{q,q2,all}", "bracket base in the exponent"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,46 +366,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, subcommand in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=subcommand.help)
-        p.add_argument("--nmax", type=int, default=8, help="first grid bound")
-        p.add_argument("--kmax", type=int, default=8, help="second grid bound")
-        p.add_argument(
-            "--q",
-            type=_parse_fraction,
-            default=None,
-            metavar="P/Q",
-            help="rational sample point in (0,1) for table evaluation",
-        )
-        p.add_argument(
-            "--convention",
-            choices=["q", "q2", "all"],
-            default="all",
-            help="bracket base inside the exponential argument",
-        )
-        p.add_argument("--format", choices=["csv", "json"], default="json")
-        p.add_argument("--out", default=None, help="report path (default stdout)")
+        p.set_defaults(**RunConfig._field_defaults)
+        for option in subcommand.flags:
+            field, type_, metavar, help_ = _GRID_FLAGS[option]
+            p.add_argument(option, dest=field, type=type_, metavar=metavar, help=help_)
+        p.add_argument("--format", choices=["csv", "json"])
+        p.add_argument("--out", dest="out_path", metavar="OUT", help="report path (default stdout)")
     return parser
 
 
 def config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
-    if args.nmax < 1 or args.kmax < 1:
+    cfg = RunConfig(**vars(args))
+    if cfg.n_max < 1 or cfg.k_max < 1:
         parser.error("--nmax and --kmax must be >= 1")
-    if args.command == "numbers" and args.nmax > NUMBERS_MAX_N:
-        parser.error(f"numbers --nmax {args.nmax} exceeds the cap of {NUMBERS_MAX_N}")
-    if args.q is not None and not (0 < args.q < 1):
-        parser.error("--q must lie strictly between 0 and 1")
-    if args.convention == "all":
-        conventions = CONVENTIONS
-    else:
-        conventions = (Convention.parse(args.convention),)
-    return RunConfig(
-        command=args.command,
-        n_max=args.nmax,
-        k_max=args.kmax,
-        conventions=conventions,
-        q_eval=args.q,
-        format=args.format,
-        out_path=args.out,
-    )
+    if cfg.command == "numbers" and cfg.n_max > NUMBERS_MAX_N:
+        parser.error(f"numbers --nmax {cfg.n_max} exceeds the cap of {NUMBERS_MAX_N}")
+    return cfg
 
 
 def _write_report(text: str, out_path: str | None) -> None:

@@ -339,6 +339,14 @@ def test_relations_check_to_m_60():
         assert genocchi_relations_check(m).passed, m
 
 
+def test_relations_loop_builds_each_table_once_per_power_of_two(fresh_tables):
+    # Sizes 2, 4, .., 512 cover 2m <= 500.
+    for m in range(1, 251):
+        assert genocchi_relations_check(m).passed, m
+    for table in (genocchi_numbers, bernoulli_numbers, euler_numbers):
+        assert table.cache_info().misses == 9, table
+
+
 def test_relations_check_domain():
     with pytest.raises(ValueError):
         genocchi_relations_check(0)

@@ -5,12 +5,13 @@ import random
 import re
 import subprocess
 import sys
+from itertools import chain
 from pathlib import Path
 
 import pytest
 
 import qgenocchi
-from qgenocchi import DegreeLimitError, RatFunc, VerificationRecord, cli
+from qgenocchi import CONVENTIONS, DegreeLimitError, RatFunc, VerificationRecord, cli
 from qgenocchi.cli import (
     HARD_IDENTITIES,
     NUMBERS_MAX_N,
@@ -361,10 +362,81 @@ def test_pyproject_reads_package_version():
 
 def test_parser_defaults():
     args = build_parser().parse_args(["verify"])
-    assert (args.nmax, args.kmax) == (8, 8)
-    assert args.convention == "all"
+    assert (args.n_max, args.k_max) == (8, 8)
+    assert args.conventions == CONVENTIONS  # --convention all
     assert args.format == "json"
-    assert args.q is None and args.out is None
+    assert args.q_eval is None and args.out_path is None
+
+
+# The grid flags each subcommand's builder reads; it refuses the others.
+GRID_FLAGS = {
+    "numbers": ("--nmax",),
+    "qtable": ("--nmax", "--kmax", "--q"),
+    "verify": ("--nmax", "--kmax", "--convention"),
+    "limits": ("--nmax", "--kmax"),
+}
+# A non-default value of each flag.
+OTHER_VALUE = {"--nmax": "3", "--kmax": "3", "--q": "1/4", "--convention": "q"}
+REFUSED = [
+    ("numbers", "--kmax"),
+    ("numbers", "--q"),
+    ("numbers", "--convention"),
+    ("qtable", "--convention"),
+    ("verify", "--q"),
+    ("limits", "--q"),
+    ("limits", "--convention"),
+]
+
+
+@pytest.mark.parametrize("command, flag", REFUSED)
+def test_flag_the_subcommand_does_not_read_exits_two(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--nmax", "1", flag, OTHER_VALUE[flag]])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("qgenocchi: error: unrecognized arguments")
+
+
+@pytest.mark.parametrize(
+    "command, flag", [(command, flag) for command, read in GRID_FLAGS.items() for flag in read]
+)
+def test_each_flag_read_changes_the_records(capsys, command, flag):
+    base = {f: "2" for f in GRID_FLAGS[command] if f in ("--nmax", "--kmax")}
+
+    def records(values):
+        code, out, _ = run_cli(capsys, [command, *chain.from_iterable(values.items())])
+        assert code == 0
+        return json.loads(out)["records"]
+
+    assert records(base) != records({**base, flag: OTHER_VALUE[flag]})
+
+
+@pytest.mark.parametrize("command", GRID_FLAGS)
+def test_help_lists_exactly_the_flags_read(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--[a-z]+", capsys.readouterr().out))
+    assert listed == {"--help", *GRID_FLAGS[command], "--format", "--out"}
+
+
+def _readme_cli_lines():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## CLI\n\n```sh\n(.*?)^```", readme, re.M | re.S).group(1)
+    return block.splitlines()
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_example_exits_zero(capsys, monkeypatch, tmp_path, line):
+    monkeypatch.chdir(tmp_path)  # for --out
+    program, *argv = line.split()
+    assert program == "qgenocchi"
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refused the line
+        code = exc.code
+    assert code == 0, capsys.readouterr().err
 
 
 def test_parser_lists_subcommands_in_order_with_help(monkeypatch):

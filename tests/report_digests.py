@@ -37,6 +37,8 @@ REPORT_DIGESTS = {
     # (x^2b - 1)^(n-1) reaches multiplicity 7 in the prefactor here.
     "verify --nmax 8 --kmax 8":
         "642d94b4674a00237ad24546e97d58f118358e6357da2c1f02c57c66807983ce",
+    "verify --nmax 10 --kmax 10":
+        "c6b5ed46658e65d8bb09e5990a3ab915490ac5ae01f9ed37bc4e7d463b17807e",
     # One alt_qsum walk carried along forty k.
     "verify --nmax 1 --kmax 40":
         "f9dd263593838e830c5c3d646919d7971b5c9ba4e5f9bf93231ade1e0fc7a213",

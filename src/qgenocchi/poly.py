@@ -165,6 +165,10 @@ class Poly:
             s = other.numerator
             return _make([c * s for c in self._nums], self._den * other.denominator)
         a, b = self._nums, other._nums
+        if b == (1,) and other._den == 1:  # other is ONE
+            return self
+        if a == (1,) and self._den == 1:
+            return other
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
@@ -282,12 +286,12 @@ def _x_power(nums: Sequence[int]) -> int:
 def gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor.
 
-    Powers of x are split off first: with v(p) the power of x dividing p,
-    gcd(a, b) = x**min(v(a), v(b)) * gcd(a / x**v(a), b / x**v(b)).  A
-    constant cofactor (a or b a monomial) ends there; otherwise the
-    cofactors' gcd comes from the primitive remainder sequence (Brown,
-    J. ACM 18, 1971): each pseudo-remainder is divided by its integer
-    content.  Raises ValueError when both arguments are zero.
+    A nonzero constant operand gives ONE.  Otherwise, with v(p) the power
+    of x dividing p, gcd(a, b) = x**min(v(a), v(b)) * gcd(a / x**v(a),
+    b / x**v(b)).  A constant cofactor (a or b a monomial) ends there;
+    otherwise the cofactors' gcd comes from the primitive remainder
+    sequence (Brown, J. ACM 18, 1971): each pseudo-remainder is divided
+    by its integer content.  Raises ValueError when both are zero.
     """
     if a.is_zero and b.is_zero:
         raise ValueError("gcd undefined for two zero polynomials")
@@ -296,6 +300,8 @@ def gcd(a: Poly, b: Poly) -> Poly:
     if b.is_zero:
         return a.monic()
     u, v = a._nums, b._nums
+    if len(u) == 1 or len(v) == 1:
+        return ONE
     vu, vv = _x_power(u), _x_power(v)
     shift = [0] * min(vu, vv)
     u, v = u[vu:], v[vv:]

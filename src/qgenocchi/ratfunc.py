@@ -2,7 +2,8 @@
 
 Every value is kept in canonical form: numerator and denominator share no
 common factor and the denominator is monic.  Canonical form makes structural
-equality an identity test, which the verification records rely on.
+equality an identity test, which the verification records rely on.  A sum
+over one denominator b is (a + c)/b reduced by gcd(a + c, b) alone.
 
 q-expressions are embedded here with ``x = q**(1/2)``: ``monomial_q(a)``
 builds ``q**(a/2) = x**a`` for any integer a, so half-integer q-exponents
@@ -79,6 +80,9 @@ class RatFunc:
             return other
         if c.is_zero:
             return self
+        if b == d:  # one denominator: only gcd(a + c, b) can cancel
+            num = a + c
+            return _reduced(*_divide_out(gcd(num, b), num, b)) if num else R_ZERO
         # Henrici: with g = gcd(b, d), only g can still divide a*d/g + c*b/g.
         g = gcd(b, d)
         b1, d1 = _divide_out(g, b, d)

@@ -25,7 +25,7 @@ FAIL = "FAIL"
 
 
 def _coeff_list(p: Poly) -> str:
-    return "[" + ",".join(map(str, p.coeffs or (0,))) + "]"
+    return "[" + ",".join(map(str, (p._nums if p._den == 1 else p.coeffs) or (0,))) + "]"
 
 
 def ratfunc_str(f: RatFunc) -> str:

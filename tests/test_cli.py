@@ -5,6 +5,8 @@ import random
 import re
 import subprocess
 import sys
+import time
+import tracemalloc
 from itertools import chain
 from pathlib import Path
 
@@ -23,6 +25,7 @@ from qgenocchi.cli import (
     main,
     shift_law_record,
 )
+from qgenocchi.ratfunc import R_ZERO
 
 from report_digests import REPORT_DIGESTS
 
@@ -197,6 +200,35 @@ def test_shift_law_linear_fault_matches_trial_replay(monkeypatch):
     assert rec.witness == witness
 
 
+def test_passing_shift_law_draws_no_trial(monkeypatch):
+    def refuse(rng):
+        raise AssertionError("a trial was drawn on a passing table")
+
+    monkeypatch.setattr(cli, "_draw_terms", refuse)
+    rec = shift_law_record()
+    assert rec.passed and rec.details["failures"] == "0"
+
+
+@pytest.mark.parametrize("cell", [(3, 5), (-6, 0), (6, 6)])
+def test_shift_law_one_faulty_cell_falls_back_to_trial_replay(monkeypatch, cell):
+    # Off by one at the unit term of one (beta2, k) cell only, extended
+    # linearly to every list: one nonzero table entry must replay the trials.
+    partial_sum = cli.partial_sum
+    beta2, shift = cell
+
+    def faulty(terms, k):
+        extra = sum((t.coeff for t in terms if t.beta2 == beta2), R_ZERO) if k == shift else 0
+        return partial_sum(terms, k) + extra
+
+    monkeypatch.setattr(cli, "partial_sum", faulty)
+    failures, witness = _shift_law_by_trials()
+    assert 0 < failures < SHIFT_LAW_TRIALS
+    rec = shift_law_record()
+    assert rec.status == "FAIL"
+    assert rec.details["failures"] == str(failures)
+    assert rec.witness == witness
+
+
 def test_shift_law_runs_maps_once_per_table_key(monkeypatch):
     # Keys: the empty list at each k, the unit term at each (beta2, k).
     calls = []
@@ -219,6 +251,34 @@ def test_bad_flags_exit_two():
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
+
+
+@pytest.mark.parametrize("q", ["1e-5000", "1e-100000", "1e-1000000"])
+def test_huge_q_exponent_exits_two_at_once(capsys, q):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["qtable", "--nmax", "1", "--kmax", "1", "--q", q])
+    assert time.perf_counter() - start < 1
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.splitlines()[-1] == (
+        f"qgenocchi qtable: error: argument --q: too long once its exponent is expanded: '{q}'"
+    )
+
+
+def test_verify_families_hold_no_grid_list():
+    # At 300 x 300 the grid lists would hold 270,000 tuples, about 19 MB.
+    cfg = cli.RunConfig("verify", n_max=300, k_max=300)
+    tracemalloc.start()
+    try:
+        families = dict(cli._verify_records(cfg))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert next(iter(families["alt_power_sum"])).params == {"k": 1, "n": 2}
+    assert next(iter(families["alt_sum_formula"])) == cli.alt_sum_formula_check(1, 2)
 
 
 def test_unwritable_out_path_exits_three(capsys):

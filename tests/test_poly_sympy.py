@@ -10,10 +10,10 @@ from fractions import Fraction
 from math import prod
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from qgenocchi.poly import Poly, gcd
+from qgenocchi.poly import ONE, Poly, gcd
 from qgenocchi.ratfunc import RatFunc, cyclotomic, cyclotomic_indices, over_cyclotomics
 
 sympy = pytest.importorskip("sympy")
@@ -95,6 +95,26 @@ def test_ratfunc_canonical_form_matches_sympy_cancel(a, b, c):
     assert_cancel_matches_sympy(a * c, b * c)
 
 
+def assert_sum_matches_sympy_cancel(f: RatFunc, g: RatFunc):
+    # sympy adds the fractions over the product of the denominators.
+    sb, sd = to_sympy(f.den), to_sympy(g.den)
+    sp, sq = (to_sympy(f.num) * sd + to_sympy(g.num) * sb).cancel(sb * sd, include=True)
+    lc = sq.LC()
+    h = f + g
+    assert (to_sympy(h.num), to_sympy(h.den)) == (sp.quo_ground(lc), sq.quo_ground(lc))
+
+
+@given(polys, polys, nonzero_polys, nonzero_polys)
+def test_equal_denominator_sum_matches_sympy_cancel(a, t, p, s):
+    # Over b = p*s, a/b + (p*t - a)/b = p*t/b: the summed numerator shares
+    # p with b, and all of b when s is constant.  f + (-f) cancels to 0.
+    b = p * s
+    f, g = RatFunc(a, b), RatFunc(p * t - a, b)
+    assume(f.den == g.den)
+    assert_sum_matches_sympy_cancel(f, g)
+    assert_sum_matches_sympy_cancel(f, -f)
+
+
 X = Poly.monomial(1)
 # One sum or product per way RatFunc can cancel, first over small linear
 # factors, then over the 1 + x**beta and x**m - 1 that `verify` builds.
@@ -173,6 +193,18 @@ def test_gcd_shared_x_power_content(a, b, c, i, j, k):
     # x**k * c is common to both sides on top of their own powers of x.
     c = times_x(c, k)
     assert_gcd_and_cancel_match_sympy(times_x(a * c, i), times_x(b * c, j))
+
+
+@given(polys, big_coeffs.filter(bool))
+def test_gcd_with_a_nonzero_constant_is_one(p, c):
+    assert gcd(p, Poly([c])) == ONE and gcd(Poly([c]), p) == ONE
+
+
+@given(polys)
+def test_product_with_the_unit_polynomial_is_the_other_operand(p):
+    for one in (ONE, Poly([1]), Poly.monomial(0)):
+        assert p * one == p and one * p == p
+        assert to_sympy(p * one) == to_sympy(p)
 
 
 @given(st.one_of(monomials, nonzero_polys), x_powers)

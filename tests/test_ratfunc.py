@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from qgenocchi.poly import ONE, Poly
+from qgenocchi import ratfunc
+from qgenocchi.poly import ONE, Poly, gcd
 from qgenocchi.ratfunc import (
     R_ONE,
     R_ZERO,
@@ -123,6 +124,19 @@ def test_field_laws(a, b, c):
 def test_add_neg_cancels(a):
     assert a + (-a) == R_ZERO
     assert a - a == R_ZERO
+
+
+@given(polys, polys, nonzero_polys)
+def test_equal_denominator_sum_takes_one_gcd(a, c, b):
+    f, g = RatFunc(a, b), RatFunc(c, b)
+    assume(f.den == g.den)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ratfunc, "gcd", lambda u, v: calls.append((u, v)) or gcd(u, v))
+        total = f + g
+    num = f.num + g.num
+    assert calls == ([(num, f.den)] if f and g and num else [])
+    assert total == RatFunc(num, f.den)
 
 
 @given(nonzero_ratfuncs)

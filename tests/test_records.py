@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qgenocchi.poly import Poly
 from qgenocchi.ratfunc import RatFunc
-from qgenocchi.records import ratfunc_str
+from qgenocchi.records import _coeff_list, ratfunc_str
 
 
 def frac_oracle(value: Fraction | int) -> str:
@@ -57,3 +57,13 @@ nonzero_polys = polys.filter(lambda p: not p.is_zero)
 def test_ratfunc_str_matches_coefficient_oracle(num, den):
     f = RatFunc(num, den)
     assert ratfunc_str(f) == f"num={coeff_list_oracle(f.num)};den={coeff_list_oracle(f.den)}"
+
+
+int_polys = st.lists(st.integers(min_value=-(2**70), max_value=2**70), max_size=6).map(Poly)
+
+
+@given(st.one_of(int_polys, polys))
+@example(Poly([]))
+@example(Poly([Fraction(1, 3), 2]))
+def test_coeff_list_matches_the_fraction_route(p):
+    assert _coeff_list(p) == "[" + ",".join(map(str, p.coeffs or (0,))) + "]"

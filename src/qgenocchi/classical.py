@@ -26,12 +26,10 @@ Bernoulli/Euler closed forms, so each route can verify the other.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import comb, factorial
-from operator import add, mul
 
 from .records import VerificationRecord, record_from_difference
 
@@ -68,32 +66,12 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _pascal_rows(n_max: int):
-    """Rows C(n, i), i = 0 .. n, for n = 0 .. n_max.
-
-    Each row comes from the one before by the Pascal rule, with no products
-    of binomials: C(n+1, i) = C(n, i) + C(n, i-1).
-    """
-    row = [1]
-    for _ in range(n_max + 1):
-        yield row
-        row = [*map(add, [*row, 0], [0, *row])]
-
-
 def _exact_quotient(numerator: int, divisor: int) -> int:
     """numerator / divisor, which must be an integer; raises otherwise."""
     quotient, remainder = divmod(numerator, divisor)
     if remainder:
         raise ArithmeticError(f"{numerator}/{divisor} is not an integer")
     return quotient
-
-
-def _binomial_convolution(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """EGF product: c_n = sum_i C(n, i) * a_i * b_(n-i)."""
-    return [
-        sum(map(mul, row, map(mul, a, reversed(b[: n + 1]))))
-        for n, row in enumerate(_pascal_rows(len(a) - 1))
-    ]
 
 
 @lru_cache(maxsize=None)
@@ -199,22 +177,23 @@ def order_r_genocchi(r: int, n_max: int, x: Fraction = Fraction(0)) -> NumberTab
     u**(r+1) = u**r + (1/r) * d/ds u**r, which reads
     h^(r+1)_n = 2*h^(r)_n + h^(r)_(n+1) / r: one exact pass per order,
     starting from h^(1) = e.  With x = a/b in lowest terms, G^(r)_n(x) is
-    the integer sum_i C(n, i) * h_i * b**i * (2a)**(n-i) over
-    2**(n+r-1) * b**n, which is h_n itself at x = 0.
+    c_n / (2**(n+r-1) * b**n), c_n = sum_i C(n, i) * h_i * b**i * (2a)**(n-i):
+    a binomial transform (the EGF times exp(2a*t)), done in place with no
+    binomials: from c_i = h_i * b**i, pass k = 1 .. n_max adds 2a * c_(n-1)
+    to c_n for n = n_max down to k.  At x = 0, c = h.
     """
     _require(r >= 1, "order r must be >= 1")
     _require(n_max >= 0, "n_max must be >= 0")
-    x = Fraction(x)
     h = _scaled_euler(n_max + r - 1)
     for s in range(1, r):
         h = [2 * v + _exact_quotient(w, s) for v, w in zip(h, h[1:])]
-    a, b = x.numerator, x.denominator
-    numerators = h
+    a, b = Fraction(x).as_integer_ratio()
     if a:
-        numerators = _binomial_convolution(
-            [v * b**i for i, v in enumerate(h)], [(2 * a) ** j for j in range(n_max + 1)]
-        )
-    values = tuple(Fraction(v, b**n << (n + r - 1)) for n, v in enumerate(numerators))
+        h = [v * b**i for i, v in enumerate(h)]
+        for k in range(1, n_max + 1):
+            for n in range(n_max, k - 1, -1):
+                h[n] += 2 * a * h[n - 1]
+    values = tuple(Fraction(v, b**n << (n + r - 1)) for n, v in enumerate(h))
     return NumberTable(f"G^({r})", values)
 
 

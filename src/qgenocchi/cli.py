@@ -136,9 +136,10 @@ def _qtable_records(cfg: RunConfig) -> Iterator[tuple[str, Iterable[Verification
             details = {"value": ratfunc_str(value)}
             if cfg.q_eval is not None:
                 try:
-                    details["value_at_q"] = str(evaluate_at_q(value, cfg.q_eval))
+                    at_q = evaluate_at_q(value, cfg.q_eval)
                 except ValueError:  # a half-integer power of q at a non-square q
-                    details["value_at_q"] = "REQUIRES-SQUARE-Q"
+                    at_q = "REQUIRES-SQUARE-Q"
+                details["value_at_q"] = str(at_q)
             yield VerificationRecord(identity, dict(zip(names, index)), details=details)
 
     yield "q_binomial", table("q_binomial", ("n", "k"), q_binomial_cells(cfg.n_max))
@@ -418,6 +419,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     cfg = config_from_args(args, parser)
+    # The flags were parsed under Python's int-to-str digit limit; exact
+    # values of any length are printed.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         report = build_report(cfg)
     except DegreeLimitError as exc:

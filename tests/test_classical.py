@@ -84,6 +84,18 @@ def euler_at_zero_oracle(n):
     return Fraction(2) * (1 - 2 ** (n + 1)) * AT_BERNOULLI[n + 1] / (n + 1)
 
 
+def pascal_rows(n_max):
+    """Rows C(n, i), i = 0 .. n, for n = 0 .. n_max.
+
+    Each row comes from the one before by the Pascal rule, with no products
+    of binomials: C(n+1, i) = C(n, i) + C(n, i-1).
+    """
+    row = [1]
+    for _ in range(n_max + 1):
+        yield row
+        row = [*map(add, [*row, 0], [0, *row])]
+
+
 @lru_cache(maxsize=None)
 def pascal_rule_scaled_euler(n_max):
     """Reference e_n = 2**n * E_n by the Pascal-rule recurrence
@@ -107,7 +119,7 @@ def pascal_rule_bernoulli(n_max):
     denominator (von Staudt-Clausen), so each step is an exact integer
     division by n + 1."""
     denominator = lcm(*range(1, n_max + 2))
-    rows = classical._pascal_rows(n_max + 1)
+    rows = pascal_rows(n_max + 1)
     next(rows)
     b = []
     for n, row in enumerate(rows):
@@ -120,7 +132,7 @@ def pascal_rule_bernoulli(n_max):
 def pascal_rule_genocchi(n_max):
     """Reference G_0 .. G_n_max: 2*G_n + sum_{i<n} C(n, i) * G_i = 2*[n = 1]."""
     g = []
-    for n, row in enumerate(classical._pascal_rows(n_max)):
+    for n, row in enumerate(pascal_rows(n_max)):
         g.append(classical._exact_quotient(2 * (n == 1) - sum(map(mul, row, g)), 2))
     return tuple(Fraction(v) for v in g)
 

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import os
 import random
@@ -7,13 +9,18 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from fractions import Fraction
 from itertools import chain
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qgenocchi
-from qgenocchi import CONVENTIONS, DegreeLimitError, RatFunc, VerificationRecord, cli
+from qgenocchi import CONVENTIONS, DegreeLimitError, RatFunc, VerificationRecord, cli, poly
 from qgenocchi.cli import (
     HARD_IDENTITIES,
     NUMBERS_MAX_N,
@@ -25,7 +32,8 @@ from qgenocchi.cli import (
     main,
     shift_law_record,
 )
-from qgenocchi.ratfunc import R_ZERO
+from qgenocchi.qcore import q_power_sum
+from qgenocchi.ratfunc import R_ZERO, evaluate_at_q
 
 from report_digests import REPORT_DIGESTS
 
@@ -82,6 +90,41 @@ def test_qtable_non_square_q_flags_half_powers(capsys):
     assert all(r["details"]["value_at_q"] != "REQUIRES-SQUARE-Q" for r in binom)
     # power sums mix half-integer q-powers for even m
     assert any(r["details"]["value_at_q"] == "REQUIRES-SQUARE-Q" for r in psum)
+
+
+@contextmanager
+def cli_state_restored():
+    """Undo what main leaves set for the rest of the process: the degree cap
+    it read and the int-to-str digit limit it lifted."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    try:
+        yield
+    finally:
+        poly.set_max_degree(None)
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_qtable_prints_values_past_the_int_str_limit(capsys):
+    def flagged_cells(q):
+        code, out, err = run_cli(capsys, ["qtable", "--nmax", "8", "--kmax", "8", "--q", q])
+        assert code == 0 and "Traceback" not in err
+        records = json.loads(out)["records"]
+        values = {(r["identity"], tuple(r["params"].values())): r["details"] for r in records}
+        flagged = {key for key, d in values.items() if d["value_at_q"] == "REQUIRES-SQUARE-Q"}
+        return values, flagged
+
+    long_q = "1/" + "7" * 95
+    with cli_state_restored():
+        values, flagged = flagged_cells(long_q)
+        assert len(flagged) == 28
+        assert flagged == flagged_cells("1/3")[1]
+        # Past Python's 4,300-digit limit on int-to-str, printed exactly;
+        # Fraction parses them back under the limit main lifted.
+        for m, n in [(7, 7), (7, 8)]:
+            text = values[("q_power_sum", (m, n))]["value_at_q"]
+            assert len(text) > 4300
+            assert Fraction(text) == evaluate_at_q(q_power_sum(m, n), Fraction(long_q))
 
 
 def test_qtable_csv_drops_eval_column_without_q(capsys):
@@ -520,3 +563,77 @@ def test_report_bytes_locked(capsys, command):
     code, out, _ = run_cli(capsys, command.split())
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == REPORT_DIGESTS[command]
+
+
+# Flag values for the fuzz test below, as (accepted, refused).  Every grid
+# stays at most 4 x 4, so no drawn run is long.
+FUZZ_VALUES = {
+    "--nmax": (["1", "2", "3", "4", " 2", "+3"], ["0", "-1", "", "x", "2.0", "1e1"]),
+    "--kmax": (["1", "2", "3", "4"], ["0", "-2", "three"]),
+    "--q": (
+        ["1/3", "1/4", "0.5", "3/7", "1e-3", "1e-90", "1/" + "7" * 95, " 1/2"],
+        ["0", "1", "3/2", "-1/2", "1/0", "nan", "inf", "1/2/3", "", "1e-5000", "9" * 101],
+    ),
+    "--convention": (["q", "q2", "all"], ["Q", ""]),
+    "--format": (["json", "csv"], ["xml"]),
+    "QGL_MAX_DEGREE": ([None, "", "1", "2", "12", "10000"], ["0", "-1", "abc", "1.5"]),
+}
+
+
+@st.composite
+def fuzz_runs(draw):
+    def value(name):
+        accepted, refused = FUZZ_VALUES[name]
+        return draw(st.sampled_from(refused if draw(st.integers(0, 5)) == 5 else accepted))
+
+    command = draw(st.sampled_from(sorted(GRID_FLAGS)))
+    # The grid bounds always (their defaults are 8), then some of --q,
+    # --convention and --format: mostly the subcommand's own, now and then
+    # one it refuses.
+    grid = [flag for flag in ("--nmax", "--kmax") if flag in GRID_FLAGS[command]]
+    own = [flag for flag in (*GRID_FLAGS[command], "--format") if flag not in grid]
+    other = [flag for flag in ("--q", "--convention") if flag not in own]
+    extra = draw(st.lists(st.sampled_from(own * 6 + other), max_size=2, unique=True))
+    argv = [command]
+    for flag in grid + extra:
+        argv += [flag, value(flag)]
+    # --out, relative to a fresh directory: none, a new file, a file in a
+    # missing directory, or the directory itself.
+    out = draw(st.sampled_from([None, None, None, "report.out", "missing/report.out", "."]))
+    return argv, out, value("QGL_MAX_DEGREE")
+
+
+def _hard_failure(text: str) -> bool:
+    if text.startswith("{"):
+        return exit_code_for(json.loads(text)) == 1
+    rows = list(csv.DictReader(io.StringIO(text)))
+    return any(r["identity"] in HARD_IDENTITIES and r.get("status") == "FAIL" for r in rows)
+
+
+@settings(max_examples=150)
+@given(run=fuzz_runs())
+def test_fuzzed_argv_exits_with_a_documented_code(tmp_path_factory, run):
+    argv, out_name, cap = run
+    if out_name is not None:
+        out_path = tmp_path_factory.mktemp("fuzz") / out_name
+        argv = [*argv, "--out", str(out_path)]
+    env = {} if cap is None else {"QGL_MAX_DEGREE": cap}
+    out, err = io.StringIO(), io.StringIO()
+    with (
+        cli_state_restored(),
+        patch.dict(os.environ, env),
+        redirect_stdout(out),
+        redirect_stderr(err),
+    ):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refused the flags
+            code = exc.code
+    assert code in {0, 1, 2, 3, 4}, (argv, cap, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code in (0, 1):
+        report = out.getvalue() if out_name is None else out_path.read_text(encoding="utf-8")
+        # Exit 1 exactly when a hard identity FAILs.
+        assert (code == 1) == _hard_failure(report), (argv, cap)
+    else:
+        assert out.getvalue() == "" and err.getvalue(), (argv, cap)

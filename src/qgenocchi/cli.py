@@ -18,8 +18,8 @@ comparisons) never affect the exit code.
 from __future__ import annotations
 
 import argparse
+import gc
 import io
-import json
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator
@@ -322,6 +322,8 @@ _CSV_CELLS = {
 
 def render_report(report: dict, fmt: str) -> str:
     if fmt == "json":
+        import json  # like csv below, kept off the runs that write no report
+
         return json.dumps(report, sort_keys=True, indent=2) + "\n"
     subcommand = _SUBCOMMANDS[report["config"]["command"]]
     columns = subcommand.csv_columns
@@ -436,5 +438,17 @@ def main(argv: list[str] | None = None) -> int:
     return exit_code_for(report)
 
 
+def run(argv: list[str] | None = None) -> int:
+    """Process entry of `python -m qgenocchi` and the console script: `main`,
+    then `gc.freeze()`, also when argparse exits.  `main` stays the
+    in-process API and never freezes."""
+    try:
+        return main(argv)
+    finally:
+        # The process ends here.  Its shutdown collections skip frozen objects
+        # and would only walk what dies with it: cached values, module dicts.
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

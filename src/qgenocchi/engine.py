@@ -39,7 +39,7 @@ from .qcore import limit_at_one, q_integer, q_integer_poly
 from .ratfunc import (
     R_ZERO, RatFunc, cyclotomic, cyclotomic_indices, monomial_q, over_cyclotomics
 )
-from .records import VerificationRecord, limit_record, record_from_difference
+from .records import VerificationRecord, limit_record, record_from_sides
 
 Variant = Literal["plain", "shifted"]
 
@@ -310,7 +310,7 @@ def check_alt_qsum(
     g_shift = q_genocchi_number_shifted(n, k, conv).value
     rhs = (g - g_shift) / (n * q_integer(2))
     label = conv.value if lhs_conv is conv else f"{lhs_conv.value}/{conv.value}"
-    return record_from_difference("alt_qsum", {"n": n, "k": k}, lhs - rhs, label)
+    return record_from_sides("alt_qsum", {"n": n, "k": k}, lhs, rhs, label)
 
 
 @lru_cache(maxsize=None)
@@ -361,18 +361,15 @@ def closed_form_g_shift(n: int, k: int) -> QGenocchiValue:
 
 def check_closed_form_g(n: int, k: int, conv: Convention) -> VerificationRecord:
     """Closed-form candidate vs the defining regularized value of G(n, k)."""
-    diff = closed_form_g(n, k).value - q_genocchi_number(n, k, conv).value
-    return record_from_difference("closed_form_g", {"n": n, "k": k}, diff, conv.value)
+    lhs, rhs = closed_form_g(n, k).value, q_genocchi_number(n, k, conv).value
+    return record_from_sides("closed_form_g", {"n": n, "k": k}, lhs, rhs, conv.value)
 
 
 def check_closed_form_g_shift(n: int, k: int, conv: Convention) -> VerificationRecord:
     """Closed-form candidate vs the defining regularized value of G_shift."""
-    diff = (
-        closed_form_g_shift(n, k).value - q_genocchi_number_shifted(n, k, conv).value
-    )
-    return record_from_difference(
-        "closed_form_g_shift", {"n": n, "k": k}, diff, conv.value
-    )
+    lhs = closed_form_g_shift(n, k).value
+    rhs = q_genocchi_number_shifted(n, k, conv).value
+    return record_from_sides("closed_form_g_shift", {"n": n, "k": k}, lhs, rhs, conv.value)
 
 
 def classical_limit_check(

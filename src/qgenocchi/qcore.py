@@ -27,7 +27,7 @@ from typing import NamedTuple
 from .classical import power_sum
 from .poly import ONE, ZERO, Poly
 from .ratfunc import R_ZERO, RatFunc
-from .records import VerificationRecord, limit_record, record_from_difference
+from .records import VerificationRecord, limit_record, record_from_sides
 
 
 class PoleReport(NamedTuple):
@@ -157,7 +157,7 @@ def warnaar_check(n: int) -> VerificationRecord:
         raise ValueError("n must be >= 1")
     lhs = q_power_sum(3, n)
     rhs = q_binomial(n + 1, 2) ** 2
-    return record_from_difference("warnaar", {"n": n}, lhs - rhs)
+    return record_from_sides("warnaar", {"n": n}, lhs, rhs)
 
 
 def garrett_hummel_check(n: int) -> VerificationRecord:
@@ -178,7 +178,7 @@ def garrett_hummel_check(n: int) -> VerificationRecord:
         num = num + Poly.monomial(2 * k - 2) * q_integer_poly(k) ** 2 * pair
     lhs = RatFunc(num, Poly.monomial(4) - ONE)
     rhs = q_binomial(n + 1, 2) ** 2
-    return record_from_difference("garrett_hummel", {"n": n}, lhs - rhs)
+    return record_from_sides("garrett_hummel", {"n": n}, lhs, rhs)
 
 
 def _power_sum_limit(m: int, n: int, f: Poly) -> VerificationRecord:

@@ -83,6 +83,22 @@ def record_from_difference(
     )
 
 
+def record_from_sides(
+    identity: str,
+    params: dict,
+    lhs: Witness,
+    rhs: Witness,
+    convention: str | None = None,
+    details: dict | None = None,
+) -> VerificationRecord:
+    """PASS iff lhs == rhs, an identity test on canonical values; only a FAIL
+    builds the difference lhs - rhs, its witness."""
+    status, witness = (PASS, None) if lhs == rhs else (FAIL, lhs - rhs)
+    return VerificationRecord(
+        identity, dict(params), convention, status, witness, dict(details or {})
+    )
+
+
 def limit_record(
     identity: str,
     params: dict,

@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import chain
@@ -456,11 +458,61 @@ def test_version_flag(capsys):
     assert "0.1.0" in capsys.readouterr().out
 
 
-def test_pyproject_reads_package_version():
+def _pyproject() -> dict:
     pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
     root = Path(__file__).resolve().parent.parent
-    config = pyprojecttoml.read_configuration(root / "pyproject.toml", expand=True)
-    assert config["project"]["version"] == "0.1.0" == qgenocchi.__version__
+    return pyprojecttoml.read_configuration(root / "pyproject.toml", expand=True)["project"]
+
+
+def test_pyproject_reads_package_version():
+    assert _pyproject()["version"] == "0.1.0" == qgenocchi.__version__
+
+
+def test_pyproject_script_is_the_process_entry():
+    assert _pyproject()["scripts"] == {"qgenocchi": "qgenocchi.cli:run"}
+
+
+def _exit_code(entry, argv) -> int:
+    try:
+        return entry(argv)
+    except SystemExit as exc:  # argparse: --version, --help, refused flags
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["numbers", "--nmax", "2"], 0),
+        (["--version"], 0),
+        (["numbers", "--kmax", "1"], 2),
+        (["verify", "--nmax", "2", "--kmax", "2"], 4),
+    ],
+)
+def test_run_freezes_the_heap_once_and_main_never(capsys, monkeypatch, argv, code):
+    # A counter in place of gc.freeze, so the test process is never frozen.
+    freezes = []
+    monkeypatch.setattr(gc, "freeze", lambda: freezes.append(argv))
+    if code == 4:
+
+        def over_cap(cfg):
+            raise DegreeLimitError("degree 31 exceeds QGL_MAX_DEGREE=30")
+
+        monkeypatch.setattr(cli, "build_report", over_cap)
+    assert _exit_code(main, argv) == code
+    assert freezes == []
+    assert _exit_code(cli.run, argv) == code
+    assert freezes == [argv]
+
+
+@pytest.mark.parametrize(
+    "argv", ["--version", "--help", "numbers --kmax 1", "verify --nmax 2 --kmax 2"]
+)
+def test_module_entry_matches_in_process_main(run_module, capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # one --help width in both processes
+    done = run_module(argv.split())
+    code = _exit_code(main, argv.split())
+    captured = capsys.readouterr()
+    assert (done.returncode, done.stdout, done.stderr) == (code, captured.out, captured.err)
 
 
 def test_parser_defaults():
@@ -556,6 +608,31 @@ def test_parser_lists_subcommands_in_order_with_help(monkeypatch):
     ]
     for name, _ in rows:
         assert parser.parse_args([name]).command == name
+
+
+def test_passing_records_build_no_difference(capsys, monkeypatch):
+    # Zero sums of in-process verify 4x4, by the nearest caller that is not
+    # RatFunc.__sub__ and the k in that caller's frame.
+    add, zeros = RatFunc.__add__, []
+
+    def counting_add(self, other):
+        out = add(self, other)
+        if out is not NotImplemented and not out:
+            frame = sys._getframe(1)
+            while frame.f_code.co_name == "__sub__":
+                frame = frame.f_back
+            zeros.append((frame.f_code.co_name, frame.f_locals.get("k")))
+        return out
+
+    monkeypatch.setattr(RatFunc, "__add__", counting_add)
+    code, _, _ = run_cli(capsys, ["verify", "--nmax", "4", "--kmax", "4"])
+    assert code == 0
+    # check_alt_qsum compares its 32 passing sides without subtracting them;
+    # what is left is G - G_shift at k = 1 (both sums empty), for 4 n and 2
+    # conventions, on its right side.
+    assert sorted(k for name, k in zeros if name == "check_alt_qsum") == [1] * 8
+    # The shift-law table's brackets are its check, so they stay.
+    assert Counter(name for name, _ in zeros)["<lambda>"] == 91
 
 
 @pytest.mark.parametrize("command", sorted(REPORT_DIGESTS))

@@ -34,12 +34,14 @@ from math import comb, prod
 from typing import Iterable, Literal, NamedTuple
 
 from .classical import order_r_genocchi
-from .poly import ONE, ZERO, Poly
+from .poly import ONE, ZERO, Poly, _shifted_sum
 from .qcore import limit_at_one, q_integer, q_integer_poly
 from .ratfunc import (
     R_ZERO, RatFunc, cyclotomic, cyclotomic_indices, monomial_q, over_cyclotomics
 )
-from .records import VerificationRecord, limit_record, record_from_sides
+from .records import (
+    VerificationRecord, limit_record, record_from_difference, record_from_sides
+)
 
 Variant = Literal["plain", "shifted"]
 
@@ -196,13 +198,12 @@ def _plus_one_sum(terms: list, minus_ones: tuple) -> RatFunc:
     form's e = a - 4 < 0 sits over its own 1 + x**(a - 4).  So the lcm of
     the cyclotomic denominators comes from the index sets, and the sum over
     it is reduced by trial division: no gcd and no RatFunc addition.  The
-    lcm and its cofactors are a _frame cached by index sets, fixed along k.
+    lcm and its cofactors are a _frame cached by index sets, fixed along k,
+    and the numerator is added up in one integer list.
     """
     terms = [(c, e - sum(min(a, 0) for a in a_s), tuple(map(abs, a_s))) for c, e, a_s in terms]
     cofactors, exponents = _frame(tuple(dict.fromkeys(a_s for *_, a_s in terms)), minus_ones)
-    num = ZERO
-    for c, e, a_s in terms:
-        num = num + Poly.monomial(e, c) * cofactors[a_s]
+    num = _shifted_sum((c, e, cofactors[a_s]) for c, e, a_s in terms)
     return over_cyclotomics(num, exponents)
 
 
@@ -301,6 +302,13 @@ def check_alt_qsum(
 ) -> VerificationRecord:
     """Finite alternating q-power sum vs (G(n,k) - G_shift(n,k)) / (n [2]_q).
 
+    When G and G_shift share their canonical denominator B, as they must
+    wherever the identity holds (G - G_shift is then n [2]_q times the
+    polynomial lhs), the sides agree iff
+    num(lhs) * n (1 + x**2) * B == (num(G) - num(G_shift)) * den(lhs):
+    one product and one comparison, with no gcd.  Otherwise, and on a
+    FAIL, the right side and the witness are built as canonical values.
+
     Passing a different lhs_convention evaluates the two sides under mixed
     bracket bases, which is expected to break the identity.
     """
@@ -308,9 +316,14 @@ def check_alt_qsum(
     lhs = alt_qsum(n, k, lhs_conv)
     g = q_genocchi_number(n, k, conv).value
     g_shift = q_genocchi_number_shifted(n, k, conv).value
-    rhs = (g - g_shift) / (n * q_integer(2))
+    params = {"n": n, "k": k}
     label = conv.value if lhs_conv is conv else f"{lhs_conv.value}/{conv.value}"
-    return record_from_sides("alt_qsum", {"n": n, "k": k}, lhs, rhs, label)
+    if g.den == g_shift.den and (
+        lhs.num * Poly([n, 0, n]) * g.den == (g.num - g_shift.num) * lhs.den
+    ):
+        return record_from_difference("alt_qsum", params, 0, label)
+    rhs = (g - g_shift) / (n * q_integer(2))
+    return record_from_sides("alt_qsum", params, lhs, rhs, label)
 
 
 @lru_cache(maxsize=None)

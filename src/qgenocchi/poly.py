@@ -56,18 +56,21 @@ def set_max_degree(cap: int | None) -> None:
     _cap = cap
 
 
+def _check_degree(degree: int) -> None:
+    """Raise DegreeLimitError when degree passes the cap."""
+    # A valid cap is at least 1, so degrees 0 and 1 need no check.
+    if degree > 1:
+        if _cap is None:
+            set_max_degree(max_degree())
+        if degree > _cap:
+            raise DegreeLimitError(f"degree {degree} exceeds {_ENV_MAX_DEGREE}={_cap}")
+
+
 def _make(nums: list[int], den: int) -> "Poly":
     """The canonical Poly for sum(nums[i] * x**i) / den."""
     while nums and not nums[-1]:
         nums.pop()
-    # A valid cap is at least 1, so degrees 0 and 1 need no check.
-    if len(nums) > 2:
-        if _cap is None:
-            set_max_degree(max_degree())
-        if len(nums) - 1 > _cap:
-            raise DegreeLimitError(
-                f"degree {len(nums) - 1} exceeds {_ENV_MAX_DEGREE}={_cap}"
-            )
+    _check_degree(len(nums) - 1)
     g = _igcd(den, *nums)
     if den < 0:
         g = -g
@@ -273,6 +276,47 @@ def _pseudo_divmod(
         while r and not r[-1]:
             r.pop()
     return q, r, e
+
+
+def _shifted_sum(terms: Iterable[tuple[int, int, Poly]]) -> Poly:
+    """sum c * x**e * p over (c, e, p) with integer c != 0 and e >= 0,
+    added up in one integer list over the lcm of the p's denominators.
+
+    Raises DegreeLimitError at the first term whose x**e or product passes
+    the cap, before any zero is trimmed, as the termwise products would.
+    """
+    terms = list(terms)
+    den = _ilcm(*(p._den for *_, p in terms))
+    acc: list[int] = []
+    for c, e, p in terms:
+        top = e + len(p._nums)
+        _check_degree(e)
+        _check_degree(top - 1)
+        acc += [0] * (top - len(acc))
+        s = c * (den // p._den)
+        acc[e:top] = [a + s * b for a, b in zip(acc[e:top], p._nums)]
+    return _make(acc, den)
+
+
+def _monic_quotient(u: Poly, p: Poly) -> Poly | None:
+    """u / p for a monic integer p when p divides u exactly, else None.
+
+    The quotient keeps u's denominator.  A monic divisor takes each
+    quotient digit as the leading remainder coefficient, so no scaling
+    is needed, and each step touches only p's nonzero coefficients.
+    """
+    v, r = p._nums, list(u._nums)
+    n = len(v) - 1
+    support = [(i, c) for i, c in enumerate(v[:-1]) if c]
+    q = r[n:]
+    for s in range(len(q) - 1, -1, -1):
+        c = q[s] = r[s + n]
+        if c:
+            for i, vi in support:
+                r[s + i] -= c * vi
+    if any(r[:n]):
+        return None
+    return _make(q, u._den)
 
 
 def _x_power(nums: Sequence[int]) -> int:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from .poly import ONE, ZERO, Poly, Scalar, gcd
+from .poly import ONE, ZERO, Poly, Scalar, _monic_quotient, gcd
 
 
 class PoleError(ArithmeticError):
@@ -248,7 +248,8 @@ def over_cyclotomics(num: Poly, exponents: dict[int, int]) -> RatFunc:
     only when p(_PROBE)**s divides P(_PROBE), and the gate skips only
     divisions that would fail.  That holds at any integer B >= 2, where
     no p(B) is 0; a probe of 16 bits keeps P(_PROBE), and the Horner walk
-    that builds it, small.
+    that builds it, small.  Each p**s is monic with integer coefficients,
+    so a division is an exact monic quotient, with no pseudo-division.
     """
     if num.is_zero:
         return R_ZERO
@@ -261,8 +262,8 @@ def over_cyclotomics(num: Poly, exponents: dict[int, int]) -> RatFunc:
         while step:
             p, value = _factor_power(d, step)
             if probe % value == 0:
-                quot, rem = divmod(num, p)
-                if not rem:
+                quot = _monic_quotient(num, p)
+                if quot is not None:
                     num, probe, e = quot, probe // value, e - step
                     step = min(step, e)
                     continue

@@ -39,6 +39,9 @@ REPORT_DIGESTS = {
         "642d94b4674a00237ad24546e97d58f118358e6357da2c1f02c57c66807983ce",
     "verify --nmax 10 --kmax 10":
         "c6b5ed46658e65d8bb09e5990a3ab915490ac5ae01f9ed37bc4e7d463b17807e",
+    # 288 alt_qsum cells, each decided by one cross product.
+    "verify --nmax 12 --kmax 12":
+        "962d42b7f43f8d95f7980f4e9e8f8def1373aa68d28f8023f33866bac91066b1",
     # One alt_qsum walk carried along forty k.
     "verify --nmax 1 --kmax 40":
         "f9dd263593838e830c5c3d646919d7971b5c9ba4e5f9bf93231ade1e0fc7a213",

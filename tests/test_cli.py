@@ -612,8 +612,8 @@ def test_parser_lists_subcommands_in_order_with_help(monkeypatch):
 
 def test_passing_records_build_no_difference(capsys, monkeypatch):
     # Zero sums of in-process verify 4x4, by the nearest caller that is not
-    # RatFunc.__sub__ and the k in that caller's frame.
-    add, zeros = RatFunc.__add__, []
+    # RatFunc.__sub__.
+    add, zeros = RatFunc.__add__, Counter()
 
     def counting_add(self, other):
         out = add(self, other)
@@ -621,18 +621,41 @@ def test_passing_records_build_no_difference(capsys, monkeypatch):
             frame = sys._getframe(1)
             while frame.f_code.co_name == "__sub__":
                 frame = frame.f_back
-            zeros.append((frame.f_code.co_name, frame.f_locals.get("k")))
+            zeros[frame.f_code.co_name] += 1
         return out
 
     monkeypatch.setattr(RatFunc, "__add__", counting_add)
     code, _, _ = run_cli(capsys, ["verify", "--nmax", "4", "--kmax", "4"])
     assert code == 0
-    # check_alt_qsum compares its 32 passing sides without subtracting them;
-    # what is left is G - G_shift at k = 1 (both sums empty), for 4 n and 2
-    # conventions, on its right side.
-    assert sorted(k for name, k in zeros if name == "check_alt_qsum") == [1] * 8
-    # The shift-law table's brackets are its check, so they stay.
-    assert Counter(name for name, _ in zeros)["<lambda>"] == 91
+    # check_alt_qsum decides its 32 passing cells by one cross product, so
+    # not even G - G_shift at k = 1 (both sums empty) is built; the
+    # shift-law table decides each entry by cross-multiplication and builds
+    # its brackets only on a nonzero entry.
+    assert zeros["check_alt_qsum"] == 0
+    assert zeros["<lambda>"] == 0
+
+
+def test_verify_kernel_operation_counts(capsys, monkeypatch):
+    # With every cache empty, in-process verify 4x4 makes 241 integer
+    # pseudo-divisions and 327 RatFunc additions.  Trial divisions by
+    # pseudo-division, sums added term by term as Polys, and passing
+    # alt_qsum cells and shift-law entries decided by canonical sums made
+    # 800 and 646.
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qgenocchi."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+    counts = Counter()
+    pseudo_divmod, add = poly._pseudo_divmod, RatFunc.__add__
+    monkeypatch.setattr(
+        poly, "_pseudo_divmod", lambda u, v: counts.update(["divmod"]) or pseudo_divmod(u, v)
+    )
+    monkeypatch.setattr(RatFunc, "__add__", lambda a, b: counts.update(["add"]) or add(a, b))
+    code, _, _ = run_cli(capsys, ["verify", "--nmax", "4", "--kmax", "4"])
+    assert code == 0
+    assert 0 < counts["divmod"] <= 241
+    assert 0 < counts["add"] <= 327
 
 
 @pytest.mark.parametrize("command", sorted(REPORT_DIGESTS))

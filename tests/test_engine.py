@@ -1,4 +1,7 @@
+import json
 import random
+from collections import Counter
+from itertools import product
 from fractions import Fraction
 from math import comb
 
@@ -31,6 +34,7 @@ from qgenocchi.engine import (
 from qgenocchi.poly import DegreeLimitError, Poly
 from qgenocchi.qcore import limit_at_one, q_integer
 from qgenocchi.ratfunc import R_ONE, R_ZERO, RatFunc, evaluate_at_q, monomial_q
+from qgenocchi.records import record_from_sides
 from qgenocchi.series import Series, exp_xt
 
 Q, Q2 = Convention.Q, Convention.Q2
@@ -255,6 +259,49 @@ def test_telescoping_identity_grid():
                 rec = check_alt_qsum(n, k, conv)
                 assert rec.passed, (conv, n, k, rec.witness)
                 assert rec.convention == conv.value
+
+
+def _alt_qsum_record_from_sides(n, k, conv, lhs_conv):
+    # The canonical route: both sides built and compared, lhs - rhs on a FAIL.
+    g = engine.q_genocchi_number(n, k, conv).value
+    g_shift = engine.q_genocchi_number_shifted(n, k, conv).value
+    rhs = (g - g_shift) / (n * q_integer(2))
+    label = conv.value if lhs_conv is conv else f"{lhs_conv.value}/{conv.value}"
+    lhs = engine.alt_qsum(n, k, lhs_conv)
+    return record_from_sides("alt_qsum", {"n": n, "k": k}, lhs, rhs, label)
+
+
+@pytest.mark.parametrize("fault", [None, "alt_qsum_off_by_one", "g_off_by_a_fraction"])
+def test_alt_qsum_cross_product_matches_record_from_sides(monkeypatch, fault):
+    # Passing cells and mixed-convention FAILs; an lhs off by one
+    # everywhere; and G off by 1 / (1 + x**3), so that G and G_shift no
+    # longer share their denominator.  (On a passing cell they always do:
+    # G - G_shift is n [2]_q times the polynomial lhs.)
+    cells = list(product(range(1, 6), range(1, 6), CONVENTIONS))
+    if fault == "alt_qsum_off_by_one":
+        walk = engine.alt_qsum
+        monkeypatch.setattr(engine, "alt_qsum", lambda n, k, conv: walk(n, k, conv) + 1)
+    if fault == "g_off_by_a_fraction":
+        extra = RatFunc(1, Poly.monomial(3) + 1)
+        g_of = {cell: q_genocchi_number(*cell) for cell in cells}
+        off = {cell: g._replace(value=g.value + extra) for cell, g in g_of.items()}
+        monkeypatch.setattr(engine, "q_genocchi_number", lambda *cell: off[cell])
+    statuses, shared = Counter(), Counter()
+    for n, k, conv in cells:
+        g = engine.q_genocchi_number(n, k, conv).value
+        shared[g.den == engine.q_genocchi_number_shifted(n, k, conv).value.den] += 1
+        for lhs_conv in CONVENTIONS:
+            got = check_alt_qsum(n, k, conv, lhs_convention=lhs_conv).to_dict()
+            want = _alt_qsum_record_from_sides(n, k, conv, lhs_conv).to_dict()
+            assert json.dumps(got) == json.dumps(want), (n, k, conv, lhs_conv)
+            statuses[got["status"]] += 1
+    if fault is None:
+        assert statuses["PASS"] >= 50 and statuses["FAIL"] > 0
+        assert shared[False] == 0
+    else:
+        assert set(statuses) == {"FAIL"}
+    if fault == "g_off_by_a_fraction":
+        assert shared[False] > 0
 
 
 def test_mixed_convention_fails_with_witness():
@@ -599,5 +646,40 @@ def test_engine_sums_respect_degree_cap():
     try:
         with pytest.raises(DegreeLimitError):
             q_genocchi_number_shifted.__wrapped__(8, 8, Q)
+    finally:
+        poly.set_max_degree(None)
+
+
+@pytest.mark.parametrize(
+    "family, args",
+    [
+        (q_genocchi_number_shifted, (3, 4, Q)),
+        (q_genocchi_number_shifted, (5, 3, Q2)),
+        (q_genocchi_number_shifted, (6, 6, Q)),
+        (closed_form_g_shift, (3, 3)),
+        (closed_form_g_shift, (5, 4)),
+    ],
+)
+def test_degree_cap_trips_at_the_largest_summand(monkeypatch, family, args):
+    # D, the largest e + deg(cofactor) over the summands of a sum's
+    # numerator, is the lowest cap the sum builds under, even where the
+    # top summands cancel in the numerator.
+    seen = []
+    plus_one_sum = engine._plus_one_sum
+    monkeypatch.setattr(
+        engine, "_plus_one_sum", lambda terms, m: seen.append((terms, m)) or plus_one_sum(terms, m)
+    )
+    family.__wrapped__(*args)
+    terms, minus_ones = seen[0]
+    # As in _plus_one_sum: 1 / (1 + x**a) with a < 0 reads x**-a / (1 + x**-a).
+    terms = [(e - sum(min(a, 0) for a in a_s), tuple(map(abs, a_s))) for _, e, a_s in terms]
+    cofactors, _ = engine._frame(tuple(dict.fromkeys(a_s for _, a_s in terms)), minus_ones)
+    top = max(e + cofactors[a_s].degree for e, a_s in terms)
+    try:
+        poly.set_max_degree(top - 1)
+        with pytest.raises(DegreeLimitError, match=f"^degree {top} exceeds QGL_MAX_DEGREE={top - 1}$"):
+            family.__wrapped__(*args)
+        poly.set_max_degree(top)
+        family.__wrapped__(*args)
     finally:
         poly.set_max_degree(None)

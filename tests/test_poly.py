@@ -10,10 +10,13 @@ from qgenocchi.poly import (
     ZERO,
     DegreeLimitError,
     Poly,
+    _monic_quotient,
+    _shifted_sum,
     gcd,
     max_degree,
     set_max_degree,
 )
+from qgenocchi.ratfunc import cyclotomic
 
 small_fracs = st.fractions(
     min_value=-5, max_value=5, max_denominator=6
@@ -165,3 +168,59 @@ def test_gcd_divides_both(a, b):
 @given(nonzero_polys, nonzero_polys, nonzero_polys)
 def test_gcd_scale_invariant(a, b, c):
     assert gcd(a * c, b * c) == gcd(a, b) * c.monic()
+
+
+# Monic integer divisors: random integer lower coefficients under a leading
+# 1, and powers of cyclotomic polynomials, the divisors over_cyclotomics uses.
+monic_divisors = st.one_of(
+    st.lists(st.integers(min_value=-9, max_value=9), max_size=5).map(lambda cs: Poly([*cs, 1])),
+    st.builds(lambda d, s: cyclotomic(d) ** s, st.integers(1, 18), st.integers(1, 3)),
+)
+
+
+@given(small_polys, monic_divisors, st.booleans())
+def test_monic_quotient_matches_divmod(a, p, multiple):
+    # A multiple of p (fractional content included) divides exactly; a
+    # random a does when its remainder is 0, and only then.
+    u = a * p if multiple else a
+    q, r = divmod(u, p)
+    got = _monic_quotient(u, p)
+    if r.is_zero:
+        assert got == q
+        assert got._den == u._den or got.is_zero
+    else:
+        assert got is None
+    assert (got is None) is (not multiple and not r.is_zero)
+
+
+@given(small_polys, monic_divisors.filter(lambda p: p.degree > 0), nonzero_polys)
+def test_monic_quotient_refuses_a_remainder(a, p, r):
+    # a * p + r with a nonzero r of degree below deg p: never exact.
+    r = divmod(r, p)[1] or Poly([Fraction(1, 3)])
+    assert _monic_quotient(a * p + r, p) is None
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(-9, 9).filter(bool), st.integers(0, 6), nonzero_polys),
+        max_size=4,
+    )
+)
+def test_shifted_sum_matches_termwise_products(terms):
+    want = ZERO
+    for c, e, p in terms:
+        want = want + Poly.monomial(e, c) * p
+    assert _shifted_sum(terms) == want
+
+
+def test_shifted_sum_cap_counts_cancelled_terms():
+    # The top terms cancel, but x**9 * (1 + x) has degree 10 on its own.
+    terms = [(1, 9, Poly([1, 1])), (-1, 9, Poly([1, 1])), (1, 0, X)]
+    set_max_degree(9)
+    try:
+        with pytest.raises(DegreeLimitError, match="degree 10 exceeds"):
+            _shifted_sum(terms)
+        set_max_degree(10)
+        assert _shifted_sum(terms) == X
+    finally:
+        set_max_degree(None)

@@ -1,8 +1,8 @@
 import json
 import random
 from collections import Counter
-from itertools import product
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
@@ -656,14 +656,16 @@ def test_engine_sums_respect_degree_cap():
         (q_genocchi_number_shifted, (3, 4, Q)),
         (q_genocchi_number_shifted, (5, 3, Q2)),
         (q_genocchi_number_shifted, (6, 6, Q)),
+        (q_genocchi_number_shifted, (4, 1, Q)),
         (closed_form_g_shift, (3, 3)),
         (closed_form_g_shift, (5, 4)),
+        (closed_form_g_shift, (4, 1)),
     ],
 )
 def test_degree_cap_trips_at_the_largest_summand(monkeypatch, family, args):
     # D, the largest e + deg(cofactor) over the summands of a sum's
-    # numerator, is the lowest cap the sum builds under, even where the
-    # top summands cancel in the numerator.
+    # numerator, is the lowest cap the sum builds under.  At (4, 1) under
+    # q both numerators cancel to 0, so D is no degree of the sum.
     seen = []
     plus_one_sum = engine._plus_one_sum
     monkeypatch.setattr(

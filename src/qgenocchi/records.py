@@ -93,9 +93,8 @@ def record_from_sides(
 ) -> VerificationRecord:
     """PASS iff lhs == rhs, an identity test on canonical values; only a FAIL
     builds the difference lhs - rhs, its witness."""
-    status, witness = (PASS, None) if lhs == rhs else (FAIL, lhs - rhs)
-    return VerificationRecord(
-        identity, dict(params), convention, status, witness, dict(details or {})
+    return record_from_difference(
+        identity, params, 0 if lhs == rhs else lhs - rhs, convention, details
     )
 
 

@@ -254,16 +254,18 @@ def test_passing_shift_law_draws_no_trial(monkeypatch):
     assert rec.passed and rec.details["failures"] == "0"
 
 
-@pytest.mark.parametrize("cell", [(3, 5), (-6, 0), (6, 6)])
+@pytest.mark.parametrize("cell", [(3, 5, 1), (-6, 0, 1), (6, 6, 1), (3, 5, 2)])
 def test_shift_law_one_faulty_cell_falls_back_to_trial_replay(monkeypatch, cell):
-    # Off by one at the unit term of one (beta2, k) cell only, extended
-    # linearly to every list: one nonzero table entry must replay the trials.
+    # Off by the sum of coeff**power over the terms at one (beta2, k) cell
+    # only: power 1 extends a unit-term fault linearly to every list, power 2
+    # is not linear.  One nonzero table entry must replay the trials, and
+    # only the trials themselves give the failures and the first witness.
     partial_sum = cli.partial_sum
-    beta2, shift = cell
+    beta2, shift, power = cell
 
     def faulty(terms, k):
-        extra = sum((t.coeff for t in terms if t.beta2 == beta2), R_ZERO) if k == shift else 0
-        return partial_sum(terms, k) + extra
+        extra = sum((t.coeff**power for t in terms if t.beta2 == beta2), R_ZERO)
+        return partial_sum(terms, k) + (extra if k == shift else 0)
 
     monkeypatch.setattr(cli, "partial_sum", faulty)
     failures, witness = _shift_law_by_trials()
@@ -281,7 +283,7 @@ def test_shift_law_runs_maps_once_per_table_key(monkeypatch):
     monkeypatch.setattr(cli, "fermionic_sum", lambda terms: calls.append(1) or fermionic_sum(terms))
     assert shift_law_record().passed
     keys = (SHIFT_LAW_MAX_SHIFT + 1) * (1 + 13)
-    assert 0 < len(calls) <= 2 * keys == 2 * (7 + 13 * 7)
+    assert len(calls) == 2 * keys == 2 * (7 + 13 * 7)
 
 
 def test_bad_flags_exit_two():
@@ -630,9 +632,9 @@ def test_passing_records_build_no_difference(capsys, monkeypatch):
     # check_alt_qsum decides its 32 passing cells by one cross product, so
     # not even G - G_shift at k = 1 (both sums empty) is built; the
     # shift-law table decides each entry by cross-multiplication and builds
-    # its brackets only on a nonzero entry.
+    # a trial's lhs - rhs only on a nonzero entry.
     assert zeros["check_alt_qsum"] == 0
-    assert zeros["<lambda>"] == 0
+    assert zeros["shift_law_record"] == 0
 
 
 def test_verify_kernel_operation_counts(capsys, monkeypatch):

@@ -286,10 +286,12 @@ def euler_alt_formula(n: int, k: int) -> Fraction:
       + (E_n/2) * (1 + (-1)**(k+1)).
 
     The caller chooses which integer plays n and which plays k, so both the
-    literal reading and the index-swapped reading can be evaluated.
+    literal reading and the index-swapped reading can be evaluated.  The
+    Euler table is read at a power of two, so a column of k builds it
+    O(log k) times, not k times.
     """
     _require(n >= 1 and k >= 1, "n and k must be >= 1")
-    table = euler_numbers(max(n, k - 1))
+    table = euler_numbers(1 << max(n, k - 1).bit_length())
     sign = (-1) ** (k + 1)
     total = Fraction(0)
     for l in range(k):

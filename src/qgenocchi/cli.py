@@ -93,8 +93,8 @@ _SHIFT_LAW_BETAS = range(-6, 7)  # the beta2 a trial draws, each a row of the ta
 
 # Largest `numbers --nmax`.  Each table costs O(N**2) additions or
 # small-integer multiples of integers of O(N log N) bits, so the time grows
-# like N**3 log N: N = 1000 takes about 0.65 s and 33 MB on a 2-CPU Xeon
-# host, and larger values are refused with exit 2.
+# like N**3 log N: N = 1000 takes 0.66-0.72 s and 32.7 MB peak RSS on a
+# 2-CPU Xeon host (CPython 3.11), and larger values are refused with exit 2.
 NUMBERS_MAX_N = 1000
 
 
@@ -320,11 +320,68 @@ _CSV_CELLS = {
 }
 
 
+def _json_str(s: str) -> str:
+    """`json.dumps(s)`.  Printable ASCII other than a quote or a backslash is
+    exactly what its `ensure_ascii` leaves alone; only other text loads `json`."""
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return f'"{s}"'
+    import json
+
+    return json.dumps(s)
+
+
+def _json_put(value, pad: str, put: Callable[[str], None]) -> None:
+    """Pass the text of `value`, indented from `pad`, to `put` piece by piece."""
+    kind = type(value)
+    if kind is str:
+        put(_json_str(value))
+    elif kind is int:
+        put(int.__repr__(value))
+    elif value is None:
+        put("null")
+    elif kind is dict and value:
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key, item in sorted(value.items()):
+            if type(key) is not str:
+                raise TypeError(f"report key is not a str: {key!r}")
+            put(f"{sep}{_json_str(key)}: ")
+            _json_put(item, inner, put)
+            sep = ",\n" + inner
+        put("\n" + pad + "}")
+    elif kind is list and value:
+        inner = pad + "  "
+        sep = "[\n" + inner
+        for item in value:
+            put(sep)
+            _json_put(item, inner, put)
+            sep = ",\n" + inner
+        put("\n" + pad + "]")
+    elif kind is dict or kind is list:
+        put("{}" if kind is dict else "[]")
+    else:
+        raise TypeError(f"not a report value: {value!r}")
+
+
+def _json_text(report: dict) -> str:
+    """`json.dumps(report, sort_keys=True, indent=2)` and a newline, for a
+    tree of dicts with str keys, lists, str, int and None; any other value
+    raises TypeError.  On CPython up to 3.13 an indent makes `json` skip its C
+    encoder; one walk into a single list is faster than its pure-Python one.
+    The walk is a module function, not a closure: a recursive closure is a
+    reference cycle that would keep every piece alive until a collection."""
+    parts: list[str] = []
+    _json_put(report, "", parts.append)
+    parts.append("\n")
+    return "".join(parts)
+
+
 def render_report(report: dict, fmt: str) -> str:
     if fmt == "json":
-        import json  # like csv below, kept off the runs that write no report
-
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+        # The same bytes as `json.dumps(report, sort_keys=True, indent=2)`.
+        # `json` itself loads only for a string that needs escaping, which no
+        # pinned report has.
+        return _json_text(report)
     subcommand = _SUBCOMMANDS[report["config"]["command"]]
     columns = subcommand.csv_columns
     if report["config"]["q_eval"] is not None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from math import gcd
 from types import MappingProxyType
 from typing import NamedTuple, Union
 
@@ -24,8 +25,16 @@ PASS = "PASS"
 FAIL = "FAIL"
 
 
+def _ratio_str(c: int, den: int) -> str:
+    """str(Fraction(c, den)) for den >= 1, by one integer gcd."""
+    g = gcd(c, den)
+    return str(c // g) if g == den else f"{c // g}/{den // g}"
+
+
 def _coeff_list(p: Poly) -> str:
-    return "[" + ",".join(map(str, (p._nums if p._den == 1 else p.coeffs) or (0,))) + "]"
+    den = p._den
+    cells = map(str, p._nums) if den == 1 else (_ratio_str(c, den) for c in p._nums)
+    return "[" + (",".join(cells) or "0") + "]"
 
 
 def ratfunc_str(f: RatFunc) -> str:

@@ -472,6 +472,18 @@ def test_literal_formula_evaluates_everywhere():
             assert value.denominator >= 1
 
 
+def test_literal_formula_builds_one_euler_table_per_power_of_two(monkeypatch, fresh_tables):
+    cells = [(1, k) for k in range(1, 65)] + [(k, 1) for k in range(1, 65)]
+    values = {cell: euler_alt_formula(*cell) for cell in cells}
+    # Sizes 2, 4, .., 128; one size per k would be 64 tables.
+    assert euler_numbers.cache_info().currsize <= 7
+    for (n, k), value in values.items():
+        # The same value from a table of exactly max(n, k - 1) + 1 entries.
+        table = euler_numbers(max(n, k - 1))
+        monkeypatch.setattr(classical, "euler_numbers", lambda size: table)
+        assert euler_alt_formula(n, k) == value, (n, k)
+
+
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=30))
 def test_power_sum_recurrence(k, n):
     assert power_sum(k, n + 1) == power_sum(k, n) + (n + 1) ** k

@@ -18,7 +18,7 @@ from pathlib import Path
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qgenocchi
@@ -445,6 +445,42 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     assert written["config"].pop("out") == str(target)
     assert direct["config"].pop("out") is None
     assert written == direct
+
+
+def test_out_path_that_needs_escaping_round_trips(tmp_path):
+    target = tmp_path / 'r"e\\p\u00e9.json'
+    assert main(["numbers", "--nmax", "2", "--out", str(target)]) == 0
+    text = target.read_text(encoding="utf-8")
+    assert json.loads(text)["config"]["out"] == str(target)
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+report_trees = st.recursive(
+    st.none() | st.integers() | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+)
+
+
+@given(report_trees)
+def test_json_text_matches_the_standard_encoder(tree):
+    assert cli._json_text(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+
+
+@given(st.text())
+@example("")
+@example('say "x"')
+@example("a\\b")
+@example("\x00\t\n\x1f")
+@example("\x7f")
+@example("\u00e9\u2028\U0001f600")
+def test_json_str_matches_the_standard_encoder(text):
+    assert cli._json_str(text) == json.dumps(text)
+
+
+@pytest.mark.parametrize("value", [True, 1.5, {1: "a"}, ("a",), b"a"])
+def test_json_text_refuses_what_no_report_holds(value):
+    with pytest.raises(TypeError):
+        cli._json_text({"records": [value]})
 
 
 def test_in_process_determinism(capsys):

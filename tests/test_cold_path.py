@@ -61,9 +61,36 @@ def test_version_path_without_site_imports_no_random():
     # Site start-up can load `random` or `json` itself (a `.pth` file
     # importing `tempfile` loads `random`), which hides them from the probe
     # above; under -S every module the package pulls in shows.  Only a
-    # nonzero shift-law table entry needs `random`, and only a written JSON
-    # report `json`.
+    # nonzero shift-law table entry needs `random`, and only a report string
+    # that needs escaping `json`.
     assert not _startup_modules("-S") & (HEAVY_MODULES | {"random", "json"})
+
+
+REPORT_PROBE = """
+import os, sys
+import qgenocchi.cli
+sys.stdout = open(os.devnull, "w")
+code = qgenocchi.cli.main(["verify", "--nmax", "2", "--kmax", "2"])
+sys.stdout = sys.__stdout__
+print(code, " ".join(sorted(sys.modules)))
+"""
+
+
+def test_report_run_without_site_imports_no_json_csv_or_random():
+    # A pinned report has no string that needs escaping, so writing it loads
+    # no `json`; a passing shift-law table draws no `random`.
+    src = str(Path(qgenocchi.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", REPORT_PROBE],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    code, *loaded = done.stdout.split()
+    assert code == "0"
+    assert "qgenocchi.cli" in loaded
+    assert not set(loaded) & {"json", "csv", "random"}
 
 
 # Each value next to its repr as the former frozen dataclasses printed it.

@@ -60,9 +60,16 @@ def test_ratfunc_str_matches_coefficient_oracle(num, den):
 
 
 int_polys = st.lists(st.integers(min_value=-(2**70), max_value=2**70), max_size=6).map(Poly)
+# A non-unit common denominator d >= 2 (the leading coefficient is 1/d), with
+# zero and large numerators below it.
+over_d_polys = st.builds(
+    lambda nums, d: Poly([Fraction(c, d) for c in nums] + [Fraction(1, d)]),
+    st.lists(st.one_of(st.just(0), st.integers(min_value=-(2**70), max_value=2**70)), max_size=6),
+    st.integers(min_value=2, max_value=2**40),
+)
 
 
-@given(st.one_of(int_polys, polys))
+@given(st.one_of(int_polys, polys, over_d_polys))
 @example(Poly([]))
 @example(Poly([Fraction(1, 3), 2]))
 def test_coeff_list_matches_the_fraction_route(p):

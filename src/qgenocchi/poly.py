@@ -41,29 +41,22 @@ def max_degree() -> int:
     return int(raw)
 
 
-# The cap _make enforces: max_degree() read on first use, or set_max_degree's.
-_cap: int | None = None
+# The cap _make enforces; the CLI installs each run's QGL_MAX_DEGREE here.
+_cap = DEFAULT_MAX_DEGREE
 
 
 def set_max_degree(cap: int | None) -> None:
-    """Set the degree cap for the rest of the process.
-
-    None drops the current cap, so QGL_MAX_DEGREE is read again on next use.
-    """
+    """Set the degree cap for the rest of the process; None restores 10000."""
     global _cap
     if cap is not None and cap < 1:
         raise ValueError(f"degree cap must be a positive integer, got {cap!r}")
-    _cap = cap
+    _cap = DEFAULT_MAX_DEGREE if cap is None else cap
 
 
 def _check_degree(degree: int) -> None:
     """Raise DegreeLimitError when degree passes the cap."""
-    # A valid cap is at least 1, so degrees 0 and 1 need no check.
-    if degree > 1:
-        if _cap is None:
-            set_max_degree(max_degree())
-        if degree > _cap:
-            raise DegreeLimitError(f"degree {degree} exceeds {_ENV_MAX_DEGREE}={_cap}")
+    if degree > _cap:
+        raise DegreeLimitError(f"degree {degree} exceeds {_ENV_MAX_DEGREE}={_cap}")
 
 
 def _make(nums: list[int], den: int) -> "Poly":

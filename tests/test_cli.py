@@ -36,6 +36,7 @@ from qgenocchi.cli import (
 )
 from qgenocchi.qcore import q_power_sum
 from qgenocchi.ratfunc import R_ZERO, evaluate_at_q
+from qgenocchi.records import ratfunc_str
 
 from report_digests import REPORT_DIGESTS
 
@@ -175,6 +176,7 @@ def test_verify_summary_counts_records(capsys):
 
 
 def test_verify_convention_filter(capsys):
+    full = json.loads(run_cli(capsys, ["verify", "--nmax", "2", "--kmax", "2"])[1])["records"]
     for chosen, other in (("q", "q2"), ("q2", "q")):
         argv = ["verify", "--nmax", "2", "--kmax", "2", "--convention", chosen]
         _, out, _ = run_cli(capsys, argv)
@@ -183,6 +185,8 @@ def test_verify_convention_filter(capsys):
         assert other not in conventions
         assert chosen in conventions
         assert report["config"]["conventions"] == [chosen]
+        # A single-convention run is the full run without the other convention.
+        assert report["records"] == [r for r in full if r["convention"] in (None, chosen)]
 
 
 def test_verify_hard_failures_gate_exit_code():
@@ -222,8 +226,7 @@ def _shift_law_by_trials():
     rng = random.Random(cli.SHIFT_LAW_SEED)
     failures, witness = 0, None
     for _ in range(SHIFT_LAW_TRIALS):
-        terms = tuple(cli.ExpTerm(cli._coefficient(*raw), b) for b, raw in cli._draw_terms(rng))
-        k = rng.randint(0, SHIFT_LAW_MAX_SHIFT)
+        terms, k = cli._draw_trial(rng)
         lhs = cli.fermionic_sum(cli.shift_terms(terms, k))
         rhs = cli.fermionic_sum(terms) - cli.partial_sum(terms, k)
         if lhs != rhs:
@@ -238,7 +241,8 @@ def test_shift_law_linear_fault_matches_trial_replay(monkeypatch):
     partial_sum = cli.partial_sum
     monkeypatch.setattr(cli, "partial_sum", lambda terms, k: partial_sum(terms, k + 1))
     failures, witness = _shift_law_by_trials()
-    assert failures > 0
+    # The seeded stream, pinned apart from _draw_trial.
+    assert (failures, ratfunc_str(witness)) == (200, "num=[1/2,0,0,0,0,0,-2];den=[0,0,0,0,1]")
     rec = shift_law_record()
     assert rec.status == "FAIL"
     assert rec.details["failures"] == str(failures)
@@ -249,19 +253,41 @@ def test_passing_shift_law_draws_no_trial(monkeypatch):
     def refuse(rng):
         raise AssertionError("a trial was drawn on a passing table")
 
-    monkeypatch.setattr(cli, "_draw_terms", refuse)
+    monkeypatch.setattr(cli, "_draw_trial", refuse)
     rec = shift_law_record()
     assert rec.passed and rec.details["failures"] == "0"
 
 
-@pytest.mark.parametrize("cell", [(3, 5, 1), (-6, 0, 1), (6, 6, 1), (3, 5, 2)])
+@pytest.mark.parametrize(
+    "seed, trials", [(cli.SHIFT_LAW_SEED, SHIFT_LAW_TRIALS), (1, 2000), (2, 2000)]
+)
+def test_shift_law_table_covers_every_trial(seed, trials):
+    # A passing table stands for the trials only if each drawn beta2 is a
+    # row of the table and each drawn k one of its shifts.
+    rng = random.Random(seed)
+    for _ in range(trials):
+        terms, k = cli._draw_trial(rng)
+        assert k in range(SHIFT_LAW_MAX_SHIFT + 1)
+        assert all(t.beta2 in cli._SHIFT_LAW_BETAS for t in terms)
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [
+        (3, 5, 1, 7, "num=[3,2];den=[2,0,1]"),
+        (-6, 0, 1, 4, "num=[-1/4,1/4];den=[3,1]"),
+        (6, 6, 1, 3, "num=[0,0,-3];den=[2,0,1]"),
+        (3, 5, 2, 7, "num=[9,12,4];den=[4,0,4,0,1]"),
+    ],
+)
 def test_shift_law_one_faulty_cell_falls_back_to_trial_replay(monkeypatch, cell):
     # Off by the sum of coeff**power over the terms at one (beta2, k) cell
     # only: power 1 extends a unit-term fault linearly to every list, power 2
     # is not linear.  One nonzero table entry must replay the trials, and
-    # only the trials themselves give the failures and the first witness.
+    # only the trials themselves give the failures and the first witness,
+    # pinned as the seeded stream gives them.
     partial_sum = cli.partial_sum
-    beta2, shift, power = cell
+    beta2, shift, power, *pinned = cell
 
     def faulty(terms, k):
         extra = sum((t.coeff**power for t in terms if t.beta2 == beta2), R_ZERO)
@@ -270,6 +296,7 @@ def test_shift_law_one_faulty_cell_falls_back_to_trial_replay(monkeypatch, cell)
     monkeypatch.setattr(cli, "partial_sum", faulty)
     failures, witness = _shift_law_by_trials()
     assert 0 < failures < SHIFT_LAW_TRIALS
+    assert [failures, ratfunc_str(witness)] == pinned
     rec = shift_law_record()
     assert rec.status == "FAIL"
     assert rec.details["failures"] == str(failures)
@@ -389,6 +416,27 @@ def test_degree_cap_error_names_the_family(run_module, argv, family):
         rf"with --nmax {nmax} --kmax {kmax}\n",
         done.stderr,
     )
+
+
+def _clear_caches():
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qgenocchi."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+
+def test_each_run_enforces_the_cap_it_read(monkeypatch, capsys):
+    # Cached values are not rebuilt, so only a cold run meets the cap.
+    _clear_caches()
+    argv = ["verify", "--nmax", "4", "--kmax", "4"]
+    with cli_state_restored():
+        monkeypatch.setenv("QGL_MAX_DEGREE", "30")
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (4, "")
+        assert err.startswith("qgenocchi: degree 32 exceeds QGL_MAX_DEGREE=30 ")
+        monkeypatch.setenv("QGL_MAX_DEGREE", "10000")
+        assert run_cli(capsys, argv)[0] == 0
 
 
 def test_runner_names_the_family_that_trips_the_cap(monkeypatch):
@@ -679,11 +727,7 @@ def test_verify_kernel_operation_counts(capsys, monkeypatch):
     # pseudo-division, sums added term by term as Polys, and passing
     # alt_qsum cells and shift-law entries decided by canonical sums made
     # 800 and 646.
-    for name, module in list(sys.modules.items()):
-        if name.startswith("qgenocchi."):
-            for value in vars(module).values():
-                if hasattr(value, "cache_clear"):
-                    value.cache_clear()
+    _clear_caches()
     counts = Counter()
     pseudo_divmod, add = poly._pseudo_divmod, RatFunc.__add__
     monkeypatch.setattr(

@@ -114,20 +114,18 @@ def test_degree_cap_env():
         set_max_degree(None)
 
 
-def test_degree_cap_read_once(monkeypatch):
-    set_max_degree(None)
+def test_degree_cap_ignores_the_environment(monkeypatch):
+    # Only the CLI reads QGL_MAX_DEGREE; library code keeps the cap it was set.
+    monkeypatch.setenv("QGL_MAX_DEGREE", "5")
     try:
-        monkeypatch.setenv("QGL_MAX_DEGREE", "12")
         assert Poly.monomial(12).degree == 12
-        monkeypatch.setenv("QGL_MAX_DEGREE", "5")
-        assert Poly.monomial(12).degree == 12
-        set_max_degree(None)
+        set_max_degree(5)
         with pytest.raises(DegreeLimitError, match="exceeds QGL_MAX_DEGREE=5"):
             Poly.monomial(12)
-        monkeypatch.setenv("QGL_MAX_DEGREE", "abc")
         set_max_degree(None)
-        with pytest.raises(ValueError, match="positive integer"):
-            Poly.monomial(3)
+        assert Poly.monomial(12).degree == 12
+        with pytest.raises(DegreeLimitError, match="^degree 10001 exceeds QGL_MAX_DEGREE=10000$"):
+            Poly.monomial(10_001)
         with pytest.raises(ValueError, match="positive integer"):
             set_max_degree(0)
     finally:

@@ -50,6 +50,9 @@ REPORT_DIGESTS = {
         "c8dd9c38c7b57455e2c90f8bfa3f6d190f2ca66f01f18a970f7d91a2522d4286",
     "limits --nmax 7 --kmax 20":
         "911b0aa6c30de4ce332142be212188a4280d24a6325110a6018a39577c9fe921",
+    # Rows up to m = 12, whose last terms hold [24]_q**11.
+    "limits --nmax 12 --kmax 24":
+        "5e56adbec6a25ec4cd39bc0a3073c97f7227c44495860b7dbad307e067ba4f96",
     "qtable --nmax 8 --kmax 8":
         "bb3f13dd83c568df55379cc91d90750ef7c32aaf1fcf7ec5cb734854b77955dd",
     # Whole classical tables, far past the series oracle's n <= 80.

@@ -462,12 +462,23 @@ def _write_report(text: str, out_path: str | None) -> None:
         raise
 
 
+def _clear_caches() -> None:
+    """Empty every `lru_cache` of the package, so that no value built under
+    an earlier run's degree cap is handed to this run."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith(f"{__package__}."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         set_max_degree(max_degree())
     except ValueError as exc:
         print(f"qgenocchi: {exc}", file=sys.stderr)
         return 2
+    _clear_caches()
     parser = build_parser()
     args = parser.parse_args(argv)
     cfg = config_from_args(args, parser)

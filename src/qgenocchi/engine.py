@@ -31,11 +31,12 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, prod
+from operator import add
 from typing import Iterable, Literal, NamedTuple
 
 from .classical import order_r_genocchi
-from .poly import ONE, ZERO, Poly, _shifted_sum
-from .qcore import limit_at_one, q_integer, q_integer_poly
+from .poly import ONE, Poly, _check_degree, _make, _shifted_sum
+from .qcore import _bracket_term, limit_at_one, q_integer
 from .ratfunc import (
     R_ZERO, RatFunc, cyclotomic, cyclotomic_indices, monomial_q, over_cyclotomics
 )
@@ -265,8 +266,9 @@ def q_genocchi_number_shifted(n: int, k: int, conv: Convention) -> QGenocchiValu
 
 @lru_cache(maxsize=None)
 def _alt_walk(n: int, conv: Convention) -> list:
-    """[k, alt(k)] for one (n, conv): alt_qsum resumes there, or from 0 for a smaller k."""
-    return [0, ZERO]
+    """[k, alt(k)] for one (n, conv), alt(k) an integer list in x: alt_qsum
+    resumes there, or from 0 for a smaller k."""
+    return [0, []]
 
 
 def alt_qsum(n: int, k: int, conv: Convention) -> RatFunc:
@@ -276,22 +278,25 @@ def alt_qsum(n: int, k: int, conv: Convention) -> RatFunc:
                    * q**((k-j)(n+1)/2),
 
     the left side of the telescoping identity; the bracket base of the
-    power factor follows the convention.  Built over integer polynomials
-    from alt(0) = 0 by
+    power factor follows the convention.  Built on integer lists from
+    alt(0) = 0 by
     alt(k) = q**((n+1)/2) * (alt(k-1) + s * [k-1]_{q^2} * [k-1]_base**(n-1))
-    with s = (-1)**k.
+    with s = (-1)**k, each term from qcore's running-sum builder.  The
+    term outgrows alt(k-1), so alt(k-1) is added into it.
     """
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
     slot = _alt_walk(n, conv)
-    start, total = slot if slot[0] <= k else (0, ZERO)
-    b = conv.base_power
-    step = Poly.monomial(n + 1)
-    for j in range(start, k):
-        term = q_integer_poly(j, 2) * q_integer_poly(j, b) ** (n - 1)
-        total = step * (total + term if j % 2 == 1 else total - term)
+    start, total = slot if slot[0] <= k else (0, [])
+    for j in range(max(start, 1), k):  # [0]_{q^2} = 0, so alt(1) = alt(0)
+        term = _bracket_term(j, n - 1, conv.base_power)
+        if j % 2 == 0:
+            term = [-c for c in term]
+        term[: len(total)] = map(add, term, total)
+        _check_degree(len(term) + n)
+        total = [0] * (n + 1) + term
     slot[:] = k, total
-    return RatFunc(total)
+    return RatFunc(_make(total, 1))
 
 
 def check_alt_qsum(

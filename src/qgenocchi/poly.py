@@ -204,7 +204,10 @@ class Poly:
         return divmod(self, other)[1]
 
     def __call__(self, x0: Scalar) -> Fraction:
-        """Evaluate at a rational point by Horner's rule on the integers."""
+        """Evaluate at a rational point by Horner's rule on the integers;
+        at x0 = 1, the q -> 1 point, the value is sum(numerators) / den."""
+        if x0 == 1:
+            return Fraction(sum(self._nums), self._den)
         x0 = Fraction(x0)
         a, b = x0.numerator, x0.denominator
         acc, bk = 0, 1

@@ -9,10 +9,11 @@ pole order instead of a value.
 The q-power sums and Gaussian binomials are polynomials in x, so they are
 built as integer polynomials, each from the value before it, and wrapped
 as rational functions only when returned: the power sums by Horner's step
-f(n) = q**((m+1)/2) f(n-1) + [n]_{q^2} [n]_q**(m-1), the binomials row by
-row by the q-Pascal rule [n, k] = [n-1, k-1] + q**k [n-1, k] (Andrews,
-The Theory of Partitions, Thm 3.2).  `q_binomial_cells` and
-`q_power_sum_cells` walk whole grids of them, one step per cell.
+f(n) = q**((m+1)/2) f(n-1) + [n]_{q^2} [n]_q**(m-1) on integer lists, each
+term built by running sums (`_bracket_term`), the binomials row by row by
+the q-Pascal rule [n, k] = [n-1, k-1] + q**k [n-1, k] (Andrews, The Theory
+of Partitions, Thm 3.2).  `q_binomial_cells` and `q_power_sum_cells` walk
+whole grids of them, one step per cell.
 """
 
 from __future__ import annotations
@@ -20,12 +21,13 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, chain, islice
 from math import comb
+from operator import add, sub
 from typing import NamedTuple
 
 from .classical import power_sum
-from .poly import ONE, ZERO, Poly
+from .poly import ONE, ZERO, Poly, _check_degree, _make
 from .ratfunc import R_ZERO, RatFunc
 from .records import VerificationRecord, limit_record, record_from_sides
 
@@ -105,17 +107,41 @@ def q_binomial(n: int, k: int) -> RatFunc:
     return RatFunc(_last(_binomial_rows(n, k))[k])
 
 
+def _bracket_term(n: int, e: int, b: int) -> list[int]:
+    """The integer coefficients in x of [n]_{q^2} * [n]_{q^b}**e for
+    n, e >= 0 and b in (1, 2), the bracket bases of the two conventions.
+
+    The work is done in y = q**b, where [n]_{q^b} = 1 + y + ... + y**(n-1):
+    multiplying by it makes each coefficient the sum of n consecutive
+    inputs, a running sum of c(t) - c(t-n).  The degree 2(n-1)(2 + b e)
+    is checked against the cap before any list is built.
+    """
+    if n < 2:
+        return [1] * n  # [0] = 0 and [1] = 1, with no window to run
+    _check_degree(2 * (n - 1) * (2 + b * e))
+    c = [0] * (2 // b * (n - 1) + 1)
+    c[:: 2 // b] = [1] * n
+    pad, lag = [0] * (n - 1), [0] * n
+    for _ in range(e):
+        c = list(accumulate(map(sub, chain(c, pad), chain(lag, c))))
+    out = [0] * (2 * b * (len(c) - 1) + 1)
+    out[:: 2 * b] = c
+    return out
+
+
 def _power_sums(m: int, n_max: int) -> Iterator[Poly]:
     """f_{m,q}(0), ..., f_{m,q}(n_max) as integer polynomials in x.
 
-    Horner's step f(n) = x**(m+1) * f(n-1) + [n]_{q^2} * [n]_q**(m-1).
+    Horner's step f(n) = x**(m+1) * f(n-1) + [n]_{q^2} * [n]_q**(m-1) on
+    integer lists.  The term, of degree 2(n-1)(m+1), outgrows
+    x**(m+1) * f(n-1), of degree (2n-3)(m+1), so f(n-1) is added into it.
     """
-    step = Poly.monomial(m + 1)
-    f = ZERO
-    yield f
+    f: list[int] = []
+    yield ZERO
     for n in range(1, n_max + 1):
-        f = step * f + q_integer_poly(n, 2) * q_integer_poly(n) ** (m - 1)
-        yield f
+        f, prev = _bracket_term(n, m - 1, 1), f
+        f[m + 1 : m + 1 + len(prev)] = map(add, f[m + 1 :], prev)
+        yield _make(f, 1)
 
 
 def q_power_sum_cells(m_max: int, n_max: int) -> Iterator[tuple[int, int, Poly]]:

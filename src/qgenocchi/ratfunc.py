@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, prod
 
 from .poly import ONE, ZERO, Poly, Scalar, _monic_quotient, gcd
 
@@ -236,6 +236,12 @@ def _factor_power(d: int, s: int) -> tuple[Poly, int]:
     return p, p(_PROBE).numerator
 
 
+@lru_cache(maxsize=None)
+def _cyclotomic_product(pairs: tuple[tuple[int, int], ...]) -> Poly:
+    """prod Phi_d**e over the (d, e) pairs."""
+    return prod((_factor_power(d, e)[0] for d, e in pairs), start=ONE)
+
+
 def over_cyclotomics(num: Poly, exponents: dict[int, int]) -> RatFunc:
     """num / prod_d Phi_d**e_d in canonical form, with no gcd.
 
@@ -250,13 +256,14 @@ def over_cyclotomics(num: Poly, exponents: dict[int, int]) -> RatFunc:
     no p(B) is 0; a probe of 16 bits keeps P(_PROBE), and the Horner walk
     that builds it, small.  Each p**s is monic with integer coefficients,
     so a division is an exact monic quotient, with no pseudo-division.
+    The denominator is cached by the (d, e) pairs left with e > 0.
     """
     if num.is_zero:
         return R_ZERO
     probe = 0
     for c in reversed(num._nums):
         probe = probe * _PROBE + c
-    den = ONE
+    left = []
     for d, e in exponents.items():
         step = e
         while step:
@@ -268,8 +275,9 @@ def over_cyclotomics(num: Poly, exponents: dict[int, int]) -> RatFunc:
                     step = min(step, e)
                     continue
             step //= 2
-        den = den * _factor_power(d, e)[0]
-    return _reduced(num, den)
+        if e:
+            left.append((d, e))
+    return _reduced(num, _cyclotomic_product(tuple(left)))
 
 
 def _eval_even_part(p: Poly, q0: Fraction) -> Fraction | None:

@@ -418,17 +418,8 @@ def test_degree_cap_error_names_the_family(run_module, argv, family):
     )
 
 
-def _clear_caches():
-    for name, module in list(sys.modules.items()):
-        if name.startswith("qgenocchi."):
-            for value in vars(module).values():
-                if hasattr(value, "cache_clear"):
-                    value.cache_clear()
-
-
 def test_each_run_enforces_the_cap_it_read(monkeypatch, capsys):
-    # Cached values are not rebuilt, so only a cold run meets the cap.
-    _clear_caches()
+    # Each run starts from empty caches, so a warm process meets the cap too.
     argv = ["verify", "--nmax", "4", "--kmax", "4"]
     with cli_state_restored():
         monkeypatch.setenv("QGL_MAX_DEGREE", "30")
@@ -727,7 +718,6 @@ def test_verify_kernel_operation_counts(capsys, monkeypatch):
     # pseudo-division, sums added term by term as Polys, and passing
     # alt_qsum cells and shift-law entries decided by canonical sums made
     # 800 and 646.
-    _clear_caches()
     counts = Counter()
     pseudo_divmod, add = poly._pseudo_divmod, RatFunc.__add__
     monkeypatch.setattr(

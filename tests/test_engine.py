@@ -236,20 +236,21 @@ def test_alt_qsum_walk_in_any_k_order():
 
 def test_alt_qsum_walk_is_linear_along_k(monkeypatch):
     calls = []
-    q_integer_poly = engine.q_integer_poly
+    bracket_term = engine._bracket_term
 
     def counting(*args):
         calls.append(args)
-        return q_integer_poly(*args)
+        return bracket_term(*args)
 
-    monkeypatch.setattr(engine, "q_integer_poly", counting)
+    monkeypatch.setattr(engine, "_bracket_term", counting)
     _clear_caches()
     per_step = []
     for k in range(1, 41):
         before = len(calls)
         alt_qsum(1, k, Q)
         per_step.append(len(calls) - before)
-    assert max(per_step) <= 2, per_step
+    # One term per step, and none for k = 1: [0]_{q^2} = 0.
+    assert per_step == [0] + [1] * 39, per_step
 
 
 def test_telescoping_identity_grid():

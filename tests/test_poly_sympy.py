@@ -55,6 +55,13 @@ def test_add_mul_eval_match_sympy(a, b, x0):
     assert a(x0) == Fraction(int(value.p), int(value.q))
 
 
+@given(polys, st.sampled_from([1, Fraction(1)]))
+def test_value_at_one_is_the_coefficient_sum(a, one):
+    # x = 1 takes the sum of the numerators, not Horner's rule.
+    value = to_sympy(a).eval(1)
+    assert a(one) == sum(a.coeffs) == Fraction(int(value.p), int(value.q))
+
+
 @given(polys, nonzero_polys)
 def test_divmod_matches_sympy(a, b):
     q, r = divmod(a, b)

@@ -2,11 +2,12 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from qgenocchi import poly, ratfunc
-from qgenocchi.poly import DEFAULT_MAX_DEGREE, ONE, Poly, max_degree
+from qgenocchi import engine, poly, qcore, ratfunc
+from qgenocchi.engine import Convention
+from qgenocchi.poly import DEFAULT_MAX_DEGREE, ONE, DegreeLimitError, Poly, max_degree
 from qgenocchi.qcore import (
     PoleReport,
     garrett_hummel_check,
@@ -241,6 +242,59 @@ def test_q_power_sum_matches_term_sum():
     for m in range(1, 7):
         for n in range(0, 16):
             assert q_power_sum(m, n) == _q_power_sum_by_terms(m, n), (m, n)
+
+
+def test_q_power_sum_cells_match_term_sum():
+    # The grid walk and the single cells share the running-sum builder, so
+    # the grid is checked against the oracle on its own.
+    for m, n, f in q_power_sum_cells(7, 12):
+        assert RatFunc(f) == _q_power_sum_by_terms(m, n), (m, n)
+
+
+@given(
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=0, max_value=12),
+    st.sampled_from([1, 2]),
+)
+@example(0, 5, 1)
+@example(1, 12, 2)
+def test_bracket_term_matches_poly_powers(n, e, b):
+    want = q_integer_poly(n, 2) * q_integer_poly(n, b) ** e
+    assert Poly(qcore._bracket_term(n, e, b)) == want
+
+
+@pytest.mark.parametrize(
+    "walk",
+    [
+        lambda: list(q_power_sum_cells(7, 10)),
+        lambda: engine.alt_qsum(4, 5, Convention.Q),
+        lambda: q_power_sum(2000, 2),
+    ],
+    ids=["q_power_sum_cells", "alt_qsum", "high_power"],
+)
+def test_tripped_cap_builds_no_longer_list(monkeypatch, walk):
+    # Every list of running sums and every Poly made stays within cap + 1
+    # entries up to the DegreeLimitError: the term's degree is checked first.
+    cap, lengths = 30, []
+
+    def record(nums):
+        lengths.append(len(nums))
+        return nums
+
+    running = qcore.accumulate
+    monkeypatch.setattr(qcore, "accumulate", lambda it: record(list(running(it))))
+    for module in (qcore, engine):
+        make = module._make
+        monkeypatch.setattr(module, "_make", lambda nums, den, make=make: make(record(nums), den))
+    engine._alt_walk.cache_clear()
+    poly.set_max_degree(cap)
+    try:
+        with pytest.raises(DegreeLimitError, match=f"exceeds QGL_MAX_DEGREE={cap}"):
+            walk()
+    finally:
+        poly.set_max_degree(None)
+        engine._alt_walk.cache_clear()
+    assert max(lengths, default=0) <= cap + 1
 
 
 def _q_binomial_by_ratios(n, k):

@@ -258,9 +258,10 @@ _SUBCOMMANDS = {
     "limits": _Subcommand(
         "q -> 1 limit checks with pole flags",
         ("--nmax", "--kmax"),
+        # Binomials first, as in qtable: an over-cap --nmax trips in their rows.
         lambda cfg: (
-            ("q_power_sum_limit", q_power_sum_limits(cfg.n_max, cfg.k_max)),
             ("q_binomial_limit", q_binomial_limits(cfg.n_max)),
+            ("q_power_sum_limit", q_power_sum_limits(cfg.n_max, cfg.k_max)),
         ),
         ("identity", "params", "limit", "classical", "status"),
     ),

@@ -31,14 +31,13 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, prod
-from operator import add
 from typing import Iterable, Literal, NamedTuple
 
 from .classical import order_r_genocchi
 from .poly import ONE, Poly, _check_degree, _make, _shifted_sum
-from .qcore import _bracket_term, limit_at_one, q_integer
+from .qcore import _horner_step, limit_at_one, q_integer
 from .ratfunc import (
-    R_ZERO, RatFunc, cyclotomic, cyclotomic_indices, monomial_q, over_cyclotomics
+    R_ZERO, RatFunc, _cyclotomic_product, cyclotomic_indices, monomial_q, over_cyclotomics
 )
 from .records import (
     VerificationRecord, limit_record, record_from_difference, record_from_sides
@@ -179,7 +178,7 @@ def _frame(index_sets: tuple, minus_ones: tuple) -> tuple[dict, dict]:
     lcm: Counter[int] = Counter()
     for a_s in index_sets:
         lcm |= Counter(d for a in a_s if a for d in cyclotomic_indices(a, 1))
-    common = prod((cyclotomic(d) ** mult for d, mult in lcm.items()), start=ONE)
+    common = _cyclotomic_product(tuple(lcm.items()))
     cofactors = {
         a_s: common // prod((Poly.monomial(a) + 1 for a in a_s), start=ONE)
         for a_s in index_sets
@@ -266,8 +265,8 @@ def q_genocchi_number_shifted(n: int, k: int, conv: Convention) -> QGenocchiValu
 
 @lru_cache(maxsize=None)
 def _alt_walk(n: int, conv: Convention) -> list:
-    """[k, alt(k)] for one (n, conv), alt(k) an integer list in x: alt_qsum
-    resumes there, or from 0 for a smaller k."""
+    """[j, S(j)] for one (n, conv), S(j) an integer list in x: alt_qsum
+    resumes there, or from S(0) = 0 for a smaller k."""
     return [0, []]
 
 
@@ -278,25 +277,19 @@ def alt_qsum(n: int, k: int, conv: Convention) -> RatFunc:
                    * q**((k-j)(n+1)/2),
 
     the left side of the telescoping identity; the bracket base of the
-    power factor follows the convention.  Built on integer lists from
-    alt(0) = 0 by
-    alt(k) = q**((n+1)/2) * (alt(k-1) + s * [k-1]_{q^2} * [k-1]_base**(n-1))
-    with s = (-1)**k, each term from qcore's running-sum builder.  The
-    term outgrows alt(k-1), so alt(k-1) is added into it.
+    power factor follows the convention.  It is q**((n+1)/2) * S(k-1),
+    where S(0) = 0 and qcore's Horner step on integer lists gives
+    S(j) = q**((n+1)/2) * S(j-1) + (-1)**(j-1) * [j]_{q^2} * [j]_base**(n-1).
     """
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
     slot = _alt_walk(n, conv)
-    start, total = slot if slot[0] <= k else (0, [])
-    for j in range(max(start, 1), k):  # [0]_{q^2} = 0, so alt(1) = alt(0)
-        term = _bracket_term(j, n - 1, conv.base_power)
-        if j % 2 == 0:
-            term = [-c for c in term]
-        term[: len(total)] = map(add, term, total)
-        _check_degree(len(term) + n)
-        total = [0] * (n + 1) + term
-    slot[:] = k, total
-    return RatFunc(_make(total, 1))
+    start, s = slot if slot[0] < k else (0, [])
+    for j in range(start + 1, k):
+        s = _horner_step(s, j, n - 1, conv.base_power, -1)
+    slot[:] = max(start, k - 1), s
+    _check_degree(len(s) + n)
+    return RatFunc(_make([0] * (n + 1) + s, 1))
 
 
 def check_alt_qsum(

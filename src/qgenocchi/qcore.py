@@ -8,7 +8,8 @@ pole order instead of a value.
 
 The q-power sums and Gaussian binomials are polynomials in x, so they are
 built as integer polynomials, each from the value before it, and wrapped
-as rational functions only when returned: the power sums by Horner's step
+as rational functions only when returned: the power sums by the Horner
+step (`_horner_step`, shared with engine's alternating q-power sums)
 f(n) = q**((m+1)/2) f(n-1) + [n]_{q^2} [n]_q**(m-1) on integer lists, each
 term built by running sums (`_bracket_term`), the binomials row by row by
 the q-Pascal rule [n, k] = [n-1, k-1] + q**k [n-1, k] (Andrews, The Theory
@@ -113,11 +114,9 @@ def _bracket_term(n: int, e: int, b: int) -> list[int]:
 
     The work is done in y = q**b, where [n]_{q^b} = 1 + y + ... + y**(n-1):
     multiplying by it makes each coefficient the sum of n consecutive
-    inputs, a running sum of c(t) - c(t-n).  The degree 2(n-1)(2 + b e)
-    is checked against the cap before any list is built.
+    inputs, a running sum of c(t) - c(t-n) that keeps [] and [1] for n < 2.
+    The degree 2(n-1)(2 + b e) is checked against the cap first.
     """
-    if n < 2:
-        return [1] * n  # [0] = 0 and [1] = 1, with no window to run
     _check_degree(2 * (n - 1) * (2 + b * e))
     c = [0] * (2 // b * (n - 1) + 1)
     c[:: 2 // b] = [1] * n
@@ -129,18 +128,24 @@ def _bracket_term(n: int, e: int, b: int) -> list[int]:
     return out
 
 
-def _power_sums(m: int, n_max: int) -> Iterator[Poly]:
-    """f_{m,q}(0), ..., f_{m,q}(n_max) as integer polynomials in x.
+def _horner_step(f: list[int], n: int, e: int, b: int, sign: int = 1) -> list[int]:
+    """S(n) = x**(e+2) * S(n-1) + sign**(n-1) * [n]_{q^2} * [n]_{q^b}**e from
+    f = S(n-1), as integer lists in x, for n >= 1 and sign = +-1.  The term,
+    of degree 2(n-1)(2 + b e), outgrows x**(e+2) * S(n-1), of degree at most
+    2(n-2)(2 + b e) + e + 2, so S(n-1) is added into it."""
+    term = _bracket_term(n, e, b)
+    if sign < 0 and n % 2 == 0:
+        term = [-c for c in term]
+    term[e + 2 : e + 2 + len(f)] = map(add, term[e + 2 :], f)
+    return term
 
-    Horner's step f(n) = x**(m+1) * f(n-1) + [n]_{q^2} * [n]_q**(m-1) on
-    integer lists.  The term, of degree 2(n-1)(m+1), outgrows
-    x**(m+1) * f(n-1), of degree (2n-3)(m+1), so f(n-1) is added into it.
-    """
+
+def _power_sums(m: int, n_max: int) -> Iterator[Poly]:
+    """f_{m,q}(0), ..., f_{m,q}(n_max) as integer polynomials in x."""
     f: list[int] = []
     yield ZERO
     for n in range(1, n_max + 1):
-        f, prev = _bracket_term(n, m - 1, 1), f
-        f[m + 1 : m + 1 + len(prev)] = map(add, f[m + 1 :], prev)
+        f = _horner_step(f, n, m - 1, 1)
         yield _make(f, 1)
 
 

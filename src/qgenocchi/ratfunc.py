@@ -213,10 +213,8 @@ def monomial_q(a: int) -> RatFunc:
 @lru_cache(maxsize=None)
 def cyclotomic(d: int) -> Poly:
     """The d-th cyclotomic polynomial, from x**d - 1 = prod_{e | d} Phi_e."""
-    den = ONE
-    for e in cyclotomic_indices(d, -1)[:-1]:
-        den = den * cyclotomic(e)
-    return (Poly.monomial(d) - 1) // den
+    divisors = tuple((e, 1) for e in cyclotomic_indices(d, -1)[:-1])
+    return (Poly.monomial(d) - 1) // _cyclotomic_product(divisors)
 
 
 def cyclotomic_indices(m: int, sign: int) -> tuple[int, ...]:
@@ -238,7 +236,7 @@ def _factor_power(d: int, s: int) -> tuple[Poly, int]:
 
 @lru_cache(maxsize=None)
 def _cyclotomic_product(pairs: tuple[tuple[int, int], ...]) -> Poly:
-    """prod Phi_d**e over the (d, e) pairs."""
+    """prod Phi_d**e over the (d, e) pairs: every such product is built here."""
     return prod((_factor_power(d, e)[0] for d, e in pairs), start=ONE)
 
 

@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qgenocchi
-from qgenocchi import CONVENTIONS, DegreeLimitError, RatFunc, VerificationRecord, cli, poly
+from qgenocchi import CONVENTIONS, DegreeLimitError, RatFunc, VerificationRecord, cli, poly, qcore
 from qgenocchi.cli import (
     HARD_IDENTITIES,
     NUMBERS_MAX_N,
@@ -428,6 +428,22 @@ def test_each_run_enforces_the_cap_it_read(monkeypatch, capsys):
         assert err.startswith("qgenocchi: degree 32 exceeds QGL_MAX_DEGREE=30 ")
         monkeypatch.setenv("QGL_MAX_DEGREE", "10000")
         assert run_cli(capsys, argv)[0] == 0
+
+
+def test_over_cap_limits_trips_before_the_power_sums(monkeypatch, capsys):
+    # The q-Pascal rows reach the cap within a few rows, so a long --nmax
+    # ends there without one q-power-sum record.
+    built = []
+    monkeypatch.setattr(qcore, "_power_sum_limit", lambda *args: built.append(args))
+    with cli_state_restored():
+        monkeypatch.setenv("QGL_MAX_DEGREE", "100")
+        code, out, err = run_cli(capsys, ["limits", "--nmax", "1000", "--kmax", "1"])
+    assert (code, out, built) == (4, "", [])
+    assert re.fullmatch(
+        r"qgenocchi: degree \d+ exceeds QGL_MAX_DEGREE=100 in q_binomial_limit "
+        r"with --nmax 1000 --kmax 1\n",
+        err,
+    )
 
 
 def test_runner_names_the_family_that_trips_the_cap(monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgenocchi import engine, poly, ratfunc
+from qgenocchi import cli, engine, poly, qcore, ratfunc
 from qgenocchi.classical import euler_numbers
 from qgenocchi.engine import (
     CONVENTIONS,
@@ -32,7 +32,7 @@ from qgenocchi.engine import (
     shift_terms,
 )
 from qgenocchi.poly import DegreeLimitError, Poly
-from qgenocchi.qcore import limit_at_one, q_integer
+from qgenocchi.qcore import limit_at_one, q_integer, q_power_sum_cells
 from qgenocchi.ratfunc import R_ONE, R_ZERO, RatFunc, evaluate_at_q, monomial_q
 from qgenocchi.records import record_from_sides
 from qgenocchi.series import Series, exp_xt
@@ -217,33 +217,33 @@ def _literal_alt_qsum(n, k, conv):
     return total
 
 
-def _clear_caches():
-    for module in (engine, ratfunc):
-        for value in vars(module).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
-
-
 def test_alt_qsum_walk_in_any_k_order():
     # Up, down, up, to zero and the same k again, with two n values and both
     # conventions interleaved, so each (n, conv) walk restarts and resumes.
-    _clear_caches()
+    cli._clear_caches()
     for k in (5, 2, 7, 0, 7):
         for n in (2, 3):
             for conv in CONVENTIONS:
                 assert alt_qsum(n, k, conv) == _literal_alt_qsum(n, k, conv), (n, k, conv)
 
 
-def test_alt_qsum_walk_is_linear_along_k(monkeypatch):
+def _count_terms(monkeypatch):
+    """The list that collects the arguments of every term qcore's shared
+    Horner step builds."""
     calls = []
-    bracket_term = engine._bracket_term
+    bracket_term = qcore._bracket_term
 
     def counting(*args):
         calls.append(args)
         return bracket_term(*args)
 
-    monkeypatch.setattr(engine, "_bracket_term", counting)
-    _clear_caches()
+    monkeypatch.setattr(qcore, "_bracket_term", counting)
+    cli._clear_caches()
+    return calls
+
+
+def test_alt_qsum_walk_is_linear_along_k(monkeypatch):
+    calls = _count_terms(monkeypatch)
     per_step = []
     for k in range(1, 41):
         before = len(calls)
@@ -251,6 +251,17 @@ def test_alt_qsum_walk_is_linear_along_k(monkeypatch):
         per_step.append(len(calls) - before)
     # One term per step, and none for k = 1: [0]_{q^2} = 0.
     assert per_step == [0] + [1] * 39, per_step
+
+
+def test_q_power_sum_walk_is_linear_along_n(monkeypatch):
+    calls = _count_terms(monkeypatch)
+    per_cell = []
+    before = 0
+    for _ in q_power_sum_cells(3, 40):
+        per_cell.append(len(calls) - before)
+        before = len(calls)
+    # One term per cell, each row starting from f(0) = 0.
+    assert per_cell == [1] * 120, per_cell
 
 
 def test_telescoping_identity_grid():
@@ -629,7 +640,7 @@ def test_sum_frames_are_built_once_per_column(monkeypatch):
     monkeypatch.setattr(Poly, "__floordiv__", counting)
 
     def column(ks):
-        _clear_caches()
+        cli._clear_caches()
         before = len(calls)
         for k in ks:
             q_genocchi_number_shifted(4, k, Q)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from qgenocchi import engine, poly, qcore, ratfunc
+from qgenocchi import cli, engine, poly, qcore, ratfunc
 from qgenocchi.engine import Convention
 from qgenocchi.poly import DEFAULT_MAX_DEGREE, ONE, DegreeLimitError, Poly, max_degree
 from qgenocchi.qcore import (
@@ -286,14 +286,14 @@ def test_tripped_cap_builds_no_longer_list(monkeypatch, walk):
     for module in (qcore, engine):
         make = module._make
         monkeypatch.setattr(module, "_make", lambda nums, den, make=make: make(record(nums), den))
-    engine._alt_walk.cache_clear()
+    cli._clear_caches()
     poly.set_max_degree(cap)
     try:
         with pytest.raises(DegreeLimitError, match=f"exceeds QGL_MAX_DEGREE={cap}"):
             walk()
     finally:
         poly.set_max_degree(None)
-        engine._alt_walk.cache_clear()
+        cli._clear_caches()
     assert max(lengths, default=0) <= cap + 1
 
 

@@ -18,7 +18,6 @@ comparisons) never affect the exit code.
 from __future__ import annotations
 
 import argparse
-import gc
 import io
 import os
 import sys
@@ -26,7 +25,7 @@ from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from functools import partial
 from itertools import chain, product, starmap
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from . import __version__
 from .classical import (
@@ -457,8 +456,8 @@ def _write_report(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
         sys.stdout.flush()
     except OSError:
-        # Point fd 1 at the null device: the interpreter flushes stdout again
-        # at exit, and that flush must not fail a second time.
+        # Point fd 1 at the null device: `run` flushes stdout again before
+        # the process ends, and that flush must not fail a second time.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise
 
@@ -500,17 +499,26 @@ def main(argv: list[str] | None = None) -> int:
     return exit_code_for(report)
 
 
-def run(argv: list[str] | None = None) -> int:
+def run(argv: list[str] | None = None) -> NoReturn:
     """Process entry of `python -m qgenocchi` and the console script: `main`,
-    then `gc.freeze()`, also when argparse exits.  `main` stays the
-    in-process API and never freezes."""
+    then a flush of stdout and stderr and `os._exit` with main's code, also
+    when argparse exits.  Ending the process here skips the interpreter's
+    finalization and `atexit` hooks; the package registers none, and the
+    `--out` file is closed inside `main`.  If a flush fails, `sys.exit` ends
+    the process instead, so the interpreter reports the failure.  `main`
+    stays the in-process API and never ends the process."""
     try:
-        return main(argv)
-    finally:
-        # The process ends here.  Its shutdown collections skip frozen objects
-        # and would only walk what dies with it: cached values, module dicts.
-        gc.freeze()
+        code = main(argv)
+    except SystemExit as exc:  # argparse: --version, --help, bad flags
+        code = exc.code
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the fd was closed at start-up
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(run())
+    run()

@@ -28,7 +28,7 @@ from operator import add, sub
 from typing import NamedTuple
 
 from .classical import power_sum
-from .poly import ONE, ZERO, Poly, _check_degree, _make
+from .poly import ONE, ZERO, DegreeLimitError, Poly, _check_degree, _make
 from .ratfunc import R_ZERO, RatFunc
 from .records import VerificationRecord, limit_record, record_from_sides
 
@@ -69,14 +69,34 @@ def q_integer(k: int, base_power: int = 1) -> RatFunc:
     return RatFunc(-q_integer_poly(-k, base_power), Poly.monomial(-2 * base_power * k))
 
 
+def _check_walk(degrees: Iterable[int], widest: int) -> None:
+    """Raise before a walk builds anything if its widest cell, of degree
+    `widest`, passes the cap.  The error names the first of `degrees`, the
+    cells' degrees in walk order, that passes it: the cell the walk itself
+    would trip at."""
+    try:
+        _check_degree(widest)
+    except DegreeLimitError:
+        for degree in degrees:
+            _check_degree(degree)
+        raise
+
+
 def _binomial_rows(n_max: int, k_max: int) -> Iterator[list[Poly]]:
     """Rows 0..n_max of the Gaussian binomial triangle, as integer polynomials.
 
     Row n is [n, 0], ..., [n, min(n, k_max)], built from row n-1 by the
     q-Pascal rule [n, k] = [n-1, k-1] + x**(2k) [n-1, k].  Column k needs
     only columns <= k of the row before, so a bounded walk never builds a
-    cell of higher degree than [n_max, k_max] when 2 k_max <= n_max.
+    cell of higher degree than [n_max, k_max] when 2 k_max <= n_max.  The
+    cap is checked before row 0: [n, k] has degree 2k(n-k), widest at
+    k = min(k_max, n // 2).
     """
+    widest = min(k_max, n_max // 2)
+    _check_walk(
+        (2 * k * (n - k) for n in range(1, n_max + 1) for k in range(1, min(n, k_max + 1))),
+        2 * widest * (n_max - widest),
+    )
     row = [ONE]
     yield row
     for n in range(1, n_max + 1):
@@ -114,14 +134,15 @@ def _bracket_term(n: int, e: int, b: int) -> list[int]:
 
     The work is done in y = q**b, where [n]_{q^b} = 1 + y + ... + y**(n-1):
     multiplying by it makes each coefficient the sum of n consecutive
-    inputs, a running sum of c(t) - c(t-n) that keeps [] and [1] for n < 2.
-    The degree 2(n-1)(2 + b e) is checked against the cap first.
+    inputs, a running sum of c(t) - c(t-n).  For n < 2 that keeps [] and
+    [1], so those run no window.  The degree 2(n-1)(2 + b e) is checked
+    against the cap first.
     """
     _check_degree(2 * (n - 1) * (2 + b * e))
     c = [0] * (2 // b * (n - 1) + 1)
     c[:: 2 // b] = [1] * n
     pad, lag = [0] * (n - 1), [0] * n
-    for _ in range(e):
+    for _ in range(e * (n > 1)):
         c = list(accumulate(map(sub, chain(c, pad), chain(lag, c))))
     out = [0] * (2 * b * (len(c) - 1) + 1)
     out[:: 2 * b] = c
@@ -140,6 +161,15 @@ def _horner_step(f: list[int], n: int, e: int, b: int, sign: int = 1) -> list[in
     return term
 
 
+def _check_power_sums(m_min: int, m_max: int, n_max: int) -> None:
+    """Check the cap before the walk of f_{m,q}(n), m_min <= m <= m_max and
+    1 <= n <= n_max, m by m: its terms have degree 2(n-1)(m+1)."""
+    _check_walk(
+        (2 * (n - 1) * (m + 1) for m in range(m_min, m_max + 1) for n in range(1, n_max + 1)),
+        2 * (n_max - 1) * (m_max + 1),
+    )
+
+
 def _power_sums(m: int, n_max: int) -> Iterator[Poly]:
     """f_{m,q}(0), ..., f_{m,q}(n_max) as integer polynomials in x."""
     f: list[int] = []
@@ -151,6 +181,7 @@ def _power_sums(m: int, n_max: int) -> Iterator[Poly]:
 
 def q_power_sum_cells(m_max: int, n_max: int) -> Iterator[tuple[int, int, Poly]]:
     """(m, n, f_{m,q}(n)) for 1 <= m <= m_max and 1 <= n <= n_max, m by m."""
+    _check_power_sums(1, m_max, n_max)
     for m in range(1, m_max + 1):
         for n, value in enumerate(islice(_power_sums(m, n_max), 1, None), 1):
             yield m, n, value
@@ -168,6 +199,7 @@ def q_power_sum(m: int, n: int) -> RatFunc:
         raise ValueError("m must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
+    _check_power_sums(m, m, n)
     return RatFunc(_last(_power_sums(m, n)))
 
 

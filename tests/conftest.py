@@ -20,19 +20,21 @@ settings.load_profile("exact")
 
 @pytest.fixture
 def run_module():
-    """`python -m qgenocchi argv` in a fresh process with extra env vars.
+    """`python -m qgenocchi argv` in a fresh process with extra env vars,
+    with fd 1 closed when `close_stdout` is set.
 
     The child's PYTHONPATH points at the imported package's source tree, so
     the tests run the same code from an uninstalled checkout.
     """
     src = str(Path(qgenocchi.__file__).resolve().parents[1])
 
-    def run(argv, **env):
+    def run(argv, close_stdout=False, **env):
         return subprocess.run(
             [sys.executable, "-m", "qgenocchi", *argv],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": src, **env},
+            preexec_fn=(lambda: os.close(1)) if close_stdout else None,
         )
 
     return run

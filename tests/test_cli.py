@@ -1,5 +1,4 @@
 import csv
-import gc
 import hashlib
 import io
 import json
@@ -572,38 +571,98 @@ def _exit_code(entry, argv) -> int:
         return exc.code
 
 
+# (argv, QGL_MAX_DEGREE, exit code): each code the process entry passes on.
+ENTRY_CODES = [
+    ("numbers --nmax 2", "", 0),
+    ("--version", "", 0),
+    ("numbers --kmax 1", "", 2),
+    ("verify --nmax 4 --kmax 4", "30", 4),
+]
+
+# A child that registers an atexit hook, then enters through cli.<argv[1]>.
+ENTRY_PROBE = """
+import atexit, sys
+from qgenocchi import cli
+atexit.register(print, "atexit hook ran", file=sys.stderr)
+sys.exit(getattr(cli, sys.argv[1])(sys.argv[2:]))
+"""
+
+
+def _entry_child(entry, argv, cap="", stdout=subprocess.PIPE):
+    """ENTRY_PROBE through cli.<entry>, with stdout buffered as it is by default."""
+    src = str(Path(qgenocchi.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run(
+        [sys.executable, "-c", ENTRY_PROBE, entry, *argv.split()],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**env, "PYTHONPATH": src, "QGL_MAX_DEGREE": cap},
+    )
+
+
+@pytest.mark.parametrize("argv, cap, code", ENTRY_CODES)
+def test_run_ends_the_process_before_atexit_hooks(argv, cap, code):
+    # Through `run` the hook never runs; through `main` and sys.exit it runs
+    # last.  Both children exit with the code and print the same report.
+    via_run, via_main = _entry_child("run", argv, cap), _entry_child("main", argv, cap)
+    assert via_run.returncode == via_main.returncode == code
+    assert "atexit hook ran" not in via_run.stderr
+    assert (via_run.stdout, via_run.stderr + "atexit hook ran\n") == (
+        via_main.stdout,
+        via_main.stderr,
+    )
+
+
+def test_run_exits_as_the_interpreter_does_when_a_flush_fails():
+    # A pipe with no reader: `--version` fits in the stdout buffer, so only
+    # the flush in `run` meets EPIPE.  `run` then ends through sys.exit,
+    # atexit hook and the interpreter's report of the failure included.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        via_run = _entry_child("run", "--version", stdout=write_end)
+        via_main = _entry_child("main", "--version", stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert "atexit hook ran" in via_run.stderr
+    assert (via_run.returncode, via_run.stderr) == (via_main.returncode, via_main.stderr)
+
+
+@pytest.mark.parametrize("argv, cap, code", ENTRY_CODES)
+def test_main_returns_the_code_in_process(capsys, monkeypatch, argv, cap, code):
+    monkeypatch.setenv("QGL_MAX_DEGREE", cap)
+    with cli_state_restored():
+        assert _exit_code(main, argv.split()) == code
+
+
 @pytest.mark.parametrize(
-    "argv, code",
+    "argv",
     [
-        (["numbers", "--nmax", "2"], 0),
-        (["--version"], 0),
-        (["numbers", "--kmax", "1"], 2),
-        (["verify", "--nmax", "2", "--kmax", "2"], 4),
+        "--version",
+        "--help",
+        "numbers --kmax 1",
+        "verify --nmax 2 --kmax 2",
+        "numbers --nmax 2 --out /no-such-dir/r.json",
+        "QGL_MAX_DEGREE=abc --version",
+        "--version >&-",
     ],
 )
-def test_run_freezes_the_heap_once_and_main_never(capsys, monkeypatch, argv, code):
-    # A counter in place of gc.freeze, so the test process is never frozen.
-    freezes = []
-    monkeypatch.setattr(gc, "freeze", lambda: freezes.append(argv))
-    if code == 4:
-
-        def over_cap(cfg):
-            raise DegreeLimitError("degree 31 exceeds QGL_MAX_DEGREE=30")
-
-        monkeypatch.setattr(cli, "build_report", over_cap)
-    assert _exit_code(main, argv) == code
-    assert freezes == []
-    assert _exit_code(cli.run, argv) == code
-    assert freezes == [argv]
-
-
-@pytest.mark.parametrize(
-    "argv", ["--version", "--help", "numbers --kmax 1", "verify --nmax 2 --kmax 2"]
-)
 def test_module_entry_matches_in_process_main(run_module, capsys, monkeypatch, argv):
+    # A NAME=value word sets the environment of both runs; `>&-` starts the
+    # child with fd 1 closed, which leaves sys.stdout None, as it is set here.
     monkeypatch.setenv("COLUMNS", "80")  # one --help width in both processes
-    done = run_module(argv.split())
-    code = _exit_code(main, argv.split())
+    words = argv.split()
+    env = dict(word.split("=", 1) for word in words if "=" in word)
+    args = [word for word in words if "=" not in word and word != ">&-"]
+    closed = ">&-" in words
+    done = run_module(args, close_stdout=closed, **env)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    if closed:
+        monkeypatch.setattr(sys, "stdout", None)
+    with cli_state_restored():
+        code = _exit_code(main, args)
     captured = capsys.readouterr()
     assert (done.returncode, done.stdout, done.stderr) == (code, captured.out, captured.err)
 

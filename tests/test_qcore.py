@@ -297,6 +297,52 @@ def test_tripped_cap_builds_no_longer_list(monkeypatch, walk):
     assert max(lengths, default=0) <= cap + 1
 
 
+@pytest.mark.parametrize(
+    "walk, cap",
+    [
+        (lambda: list(q_binomial_cells(1000)), 100),
+        (lambda: q_binomial(40, 20), 300),
+        (lambda: list(q_power_sum_cells(9, 30)), 250),
+        (lambda: q_power_sum(20, 8), 200),
+    ],
+    ids=["q_binomial_cells", "q_binomial", "q_power_sum_cells", "q_power_sum"],
+)
+def test_over_cap_walk_builds_nothing_and_trips_at_the_same_cell(monkeypatch, walk, cap):
+    # The cap is checked before the q-Pascal walk builds a row and before the
+    # Horner walk builds a term, and names the cell the walk itself trips at.
+    built = []
+    monomial, bracket_term = Poly.monomial, qcore._bracket_term
+    monkeypatch.setattr(Poly, "monomial", staticmethod(lambda *a: built.append(a) or monomial(*a)))
+    monkeypatch.setattr(qcore, "_bracket_term", lambda *a: built.append(a) or bracket_term(*a))
+
+    def tripped():
+        built.clear()
+        poly.set_max_degree(cap)
+        try:
+            with pytest.raises(DegreeLimitError) as info:
+                walk()
+        finally:
+            poly.set_max_degree(None)
+        return str(info.value), len(built)
+
+    message, count = tripped()
+    assert count == 0
+    monkeypatch.setattr(qcore, "_check_walk", lambda degrees, widest: None)
+    assert tripped()[0] == message and built
+
+
+def test_n_one_column_runs_no_window(monkeypatch):
+    # f_{m,q}(1) = 1 for every m, built without a running-sum window; the
+    # n = 2 cells of m = 1, 2, 3 run m - 1 windows each.
+    windows = []
+    running = qcore.accumulate
+    monkeypatch.setattr(qcore, "accumulate", lambda it: windows.append(1) or running(it))
+    assert [f for _, _, f in q_power_sum_cells(500, 1)] == [ONE] * 500
+    assert windows == []
+    list(q_power_sum_cells(3, 2))
+    assert len(windows) == 3
+
+
 def _q_binomial_by_ratios(n, k):
     """prod_{j=1}^{k} [n+1-j]_q / [j]_q over rational functions."""
     out = R_ONE

@@ -17,15 +17,18 @@ comparisons) never affect the exit code.
 
 from __future__ import annotations
 
-import argparse
 import io
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator
+from contextlib import suppress
 from fractions import Fraction
 from functools import partial
 from itertools import chain, product, starmap
-from typing import NamedTuple, NoReturn
+from typing import TYPE_CHECKING, NamedTuple, NoReturn
+
+if TYPE_CHECKING:  # argparse loads only for --help, refusals and unusual lines
+    import argparse
 
 from . import __version__
 from .classical import (
@@ -390,37 +393,45 @@ def render_report(report: dict, fmt: str) -> str:
 
 
 def _q_value(text: str) -> Fraction:
+    error = "not a rational strictly between 0 and 1"
     try:
         # Fraction would expand an exponent, as in 1e-5000, to a power of ten.
         if len(text) + abs(int(text.lower().partition("e")[2] or 0)) > 100:
-            raise argparse.ArgumentTypeError(f"too long once its exponent is expanded: {text!r}")
-        q = Fraction(text)
+            error = "too long once its exponent is expanded"
+        elif 0 < (q := Fraction(text)) < 1:
+            return q
     except (ValueError, ZeroDivisionError):
-        q = None
-    if q is None or not 0 < q < 1:
-        raise argparse.ArgumentTypeError(f"not a rational strictly between 0 and 1: {text!r}")
-    return q
+        pass
+    import argparse  # only a refused value needs it
+    raise argparse.ArgumentTypeError(f"{error}: {text!r}")
 
 
 def _conventions(text: str) -> tuple[Convention, ...]:
     try:
         return CONVENTIONS if text == "all" else (Convention.parse(text),)
     except ValueError as exc:
+        import argparse  # only a refused value needs it
         raise argparse.ArgumentTypeError(f"not one of q, q2, all: {text!r}") from exc
 
 
-# Each grid flag once: (RunConfig field, argparse type, metavar, help).  A
-# subcommand takes the grid flags its entry above lists, then --format and
-# --out; a field no flag of the subcommand sets keeps its RunConfig default.
-_GRID_FLAGS = {
-    "--nmax": ("n_max", int, "NMAX", "first grid bound"),
-    "--kmax": ("k_max", int, "KMAX", "second grid bound"),
-    "--q": ("q_eval", _q_value, "P/Q", "rational sample point in (0,1) for table evaluation"),
-    "--convention": ("conventions", _conventions, "{q,q2,all}", "bracket base in the exponent"),
+# Each flag once, as its `add_argument` keywords; dest is the RunConfig field.
+# A subcommand takes the grid flags its entry above lists, then the
+# _REPORT_FLAGS; a field no flag of the subcommand sets keeps its default.
+_FLAGS = {
+    "--nmax": dict(dest="n_max", type=int, metavar="NMAX", help="first grid bound"),
+    "--kmax": dict(dest="k_max", type=int, metavar="KMAX", help="second grid bound"),
+    "--q": dict(dest="q_eval", type=_q_value, metavar="P/Q",
+                help="rational sample point in (0,1) for table evaluation"),
+    "--convention": dict(dest="conventions", type=_conventions, metavar="{q,q2,all}",
+                         help="bracket base in the exponent"),
+    "--format": dict(dest="format", choices=("csv", "json")),
+    "--out": dict(dest="out_path", metavar="OUT", help="report path (default stdout)"),
 }
+_REPORT_FLAGS = ("--format", "--out")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
     parser = argparse.ArgumentParser(
         prog="qgenocchi",
         description="Exact q-Genocchi constructions and identity verification.",
@@ -430,21 +441,50 @@ def build_parser() -> argparse.ArgumentParser:
     for name, subcommand in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=subcommand.help)
         p.set_defaults(**RunConfig._field_defaults)
-        for option in subcommand.flags:
-            field, type_, metavar, help_ = _GRID_FLAGS[option]
-            p.add_argument(option, dest=field, type=type_, metavar=metavar, help=help_)
-        p.add_argument("--format", choices=["csv", "json"])
-        p.add_argument("--out", dest="out_path", metavar="OUT", help="report path (default stdout)")
+        for option in (*subcommand.flags, *_REPORT_FLAGS):
+            p.add_argument(option, **_FLAGS[option])
     return parser
+
+
+def _refusal(cfg: RunConfig) -> str | None:
+    """The range checks' message for a config they refuse, else None."""
+    if cfg.n_max < 1 or cfg.k_max < 1:
+        return "--nmax and --kmax must be >= 1"
+    if cfg.command == "numbers" and cfg.n_max > NUMBERS_MAX_N:
+        return f"numbers --nmax {cfg.n_max} exceeds the cap of {NUMBERS_MAX_N}"
+    return None
 
 
 def config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
     cfg = RunConfig(**vars(args))
-    if cfg.n_max < 1 or cfg.k_max < 1:
-        parser.error("--nmax and --kmax must be >= 1")
-    if cfg.command == "numbers" and cfg.n_max > NUMBERS_MAX_N:
-        parser.error(f"numbers --nmax {cfg.n_max} exceeds the cap of {NUMBERS_MAX_N}")
+    if refusal := _refusal(cfg):
+        parser.error(refusal)
     return cfg
+
+
+def _fast_config(argv: list[str]) -> RunConfig | None:
+    """The RunConfig argparse gives for `SUBCOMMAND (--flag VALUE)*`, read
+    without argparse, or None.  A line is read here only when each flag is
+    one the subcommand takes, in full and once, each value is non-empty, does
+    not start with "-" and passes the flag's type and choices, and the config
+    passes the range checks.  argparse reads every other line, and it alone
+    prints usage and errors."""
+    command, pairs = argv[0] if argv else "", dict(zip(argv[1::2], argv[2::2]))
+    if command not in _SUBCOMMANDS or 2 * len(pairs) != len(argv) - 1:
+        return None  # not a subcommand, a lone word, or a repeated flag
+    fields = {}
+    for flag, text in pairs.items():
+        if flag not in (*_SUBCOMMANDS[command].flags, *_REPORT_FLAGS) or text[:1] in ("", "-"):
+            return None
+        spec = _FLAGS[flag]
+        try:
+            fields[spec["dest"]] = value = spec.get("type", str)(text)
+        except Exception:  # argparse runs the type again and reports the failure
+            return None
+        if value not in spec.get("choices", (value,)):
+            return None
+    cfg = RunConfig(command, **fields)
+    return None if _refusal(cfg) else cfg
 
 
 def _write_report(text: str, out_path: str | None) -> None:
@@ -452,6 +492,8 @@ def _write_report(text: str, out_path: str | None) -> None:
         with open(out_path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         return
+    if sys.stdout is None:  # fd 1 was closed at start-up
+        raise OSError("stdout is closed")
     try:
         sys.stdout.write(text)
         sys.stdout.flush()
@@ -479,9 +521,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"qgenocchi: {exc}", file=sys.stderr)
         return 2
     _clear_caches()
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = config_from_args(args, parser)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv == ["--version"]:  # argparse's version action, without argparse
+        with suppress(AttributeError, OSError):  # as argparse's _print_message
+            (sys.stdout or sys.stderr).write(__version__ + "\n")
+        raise SystemExit(0)
+    cfg = _fast_config(argv)
+    if cfg is None:  # --help, a refusal or another shape
+        parser = build_parser()
+        cfg = config_from_args(parser.parse_args(argv), parser)
     # The flags were parsed under Python's int-to-str digit limit; exact
     # values of any length are printed.
     if hasattr(sys, "set_int_max_str_digits"):

@@ -646,6 +646,8 @@ def test_main_returns_the_code_in_process(capsys, monkeypatch, argv, cap, code):
         "numbers --nmax 2 --out /no-such-dir/r.json",
         "QGL_MAX_DEGREE=abc --version",
         "--version >&-",
+        "numbers --nmax 3 >&-",
+        "verify --nmax 2 --kmax 2 >&-",
     ],
 )
 def test_module_entry_matches_in_process_main(run_module, capsys, monkeypatch, argv):
@@ -884,3 +886,77 @@ def test_fuzzed_argv_exits_with_a_documented_code(tmp_path_factory, run):
         assert (code == 1) == _hard_failure(report), (argv, cap)
     else:
         assert out.getvalue() == "" and err.getvalue(), (argv, cap)
+
+
+# Flags and values for the fast-path test: each flag in full and abbreviated,
+# help and version, and each flag's (accepted, refused) values.  Of the
+# dash-led --out values argparse reads "-" and "-3" as values and the others
+# as flags.  Any flag may also meet an empty word, digits int() takes, or an
+# int past the int-to-str digit limit.
+FAST_PATH_FLAGS = [
+    *OTHER_VALUE, "--format", "--out", "--nm", "--k", "--conv", "--form", "--o",
+    "-h", "--help", "--version",
+]
+FAST_PATH_OWN = {
+    **{flag: FUZZ_VALUES[flag] for flag in (*OTHER_VALUE, "--format")},
+    "--out": (["report.out", " -r"], ["-", "-3", "--", "-x", "-1/2"]),
+}
+FAST_PATH_VALUES = sorted(
+    set(chain(*chain(*FAST_PATH_OWN.values()))) | {"", "\u0663", "4_0", "9" * 5000}
+)
+
+
+@st.composite
+def fast_path_argv(draw):
+    """A line the fast path reads, and at most one change to it: another
+    command, flag or value, a --flag=value word, a repeated flag or a
+    dropped word."""
+    command = draw(st.sampled_from(sorted(GRID_FLAGS)))
+    own = [*GRID_FLAGS[command], "--format", "--out"]
+    flags = draw(st.lists(st.sampled_from(own), max_size=len(own), unique=True))
+    words = [command]
+    for flag in flags:
+        words += [flag, draw(st.sampled_from(FAST_PATH_OWN[flag][0]))]
+    change = draw(st.integers(0, 6))
+    at = 1 + 2 * draw(st.integers(0, max(len(flags) - 1, 0)))  # a flag's index
+    if change == 1:
+        words[0] = draw(st.sampled_from(["no-such-command", "--version", "-h", *GRID_FLAGS]))
+    elif change == 2 and flags:
+        words[at] = draw(st.sampled_from(FAST_PATH_FLAGS))
+    elif change == 3 and flags:
+        refused = FAST_PATH_OWN[words[at]][1]
+        words[at + 1] = draw(st.sampled_from(refused if draw(st.booleans()) else FAST_PATH_VALUES))
+    elif change == 4 and flags:
+        words[at : at + 2] = [f"{words[at]}={words[at + 1]}"]
+    elif change == 5 and flags:
+        words += [words[at], draw(st.sampled_from(FAST_PATH_OWN[words[at]][0]))]
+    elif change == 6:
+        del words[draw(st.integers(0, len(words) - 1))]
+    return words
+
+
+@settings(max_examples=400)
+@given(argv=fast_path_argv())
+@example(argv=["verify", "--nmax", "2", "--kmax", "2"])
+@example(argv=["numbers", "--nmax", str(NUMBERS_MAX_N + 1)])
+@example(argv=["numbers", "--kmax", "2"])
+@example(argv=["qtable", "--format", "xml"])
+@example(argv=["limits", "--out", "--"])
+def test_fast_path_config_is_the_argparse_config(argv):
+    # The fast path accepts a line only when argparse accepts it too, and
+    # then gives the same RunConfig.  (A line it leaves alone is argparse's.)
+    fast = cli._fast_config(argv)
+    if fast is None:
+        return
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            parser = build_parser()
+            slow = config_from_args(parser.parse_args(argv), parser)
+        except SystemExit:  # --help, --version or a refusal
+            slow = None
+    assert fast == slow
+
+
+def test_every_pinned_report_line_takes_the_fast_path():
+    for command in REPORT_DIGESTS:
+        assert cli._fast_config(command.split()) is not None, command

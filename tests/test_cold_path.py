@@ -66,31 +66,57 @@ def test_version_path_without_site_imports_no_random():
     assert not _startup_modules("-S") & (HEAVY_MODULES | {"random", "json"})
 
 
-REPORT_PROBE = """
+# `main(sys.argv[1:])` in a fresh interpreter with stdout to the null device:
+# its exit code, then every module loaded.
+MAIN_PROBE = """
 import os, sys
 import qgenocchi.cli
 sys.stdout = open(os.devnull, "w")
-code = qgenocchi.cli.main(["verify", "--nmax", "2", "--kmax", "2"])
+try:
+    code = qgenocchi.cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
 sys.stdout = sys.__stdout__
 print(code, " ".join(sorted(sys.modules)))
 """
 
+# What `import argparse` and its first parser load.
+ARGPARSE_MODULES = {"argparse", "gettext", "locale", "textwrap"}
 
-def test_report_run_without_site_imports_no_json_csv_or_random():
-    # A pinned report has no string that needs escaping, so writing it loads
-    # no `json`; a passing shift-law table draws no `random`.
+
+def _main_without_site(*argv: str) -> tuple[str, set[str]]:
     src = str(Path(qgenocchi.__file__).resolve().parents[1])
     done = subprocess.run(
-        [sys.executable, "-S", "-c", REPORT_PROBE],
+        [sys.executable, "-S", "-c", MAIN_PROBE, *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
         check=True,
     )
     code, *loaded = done.stdout.split()
-    assert code == "0"
     assert "qgenocchi.cli" in loaded
-    assert not set(loaded) & {"json", "csv", "random"}
+    return code, set(loaded)
+
+
+def test_report_run_without_site_imports_no_json_csv_or_random():
+    # A pinned report has no string that needs escaping, so writing it loads
+    # no `json`; a passing shift-law table draws no `random`.
+    code, loaded = _main_without_site("verify", "--nmax", "2", "--kmax", "2")
+    assert code == "0"
+    assert not loaded & {"json", "csv", "random"}
+
+
+@pytest.mark.parametrize("argv", ["--version", "verify --nmax 2 --kmax 2"])
+def test_well_formed_line_loads_no_argparse(argv):
+    code, loaded = _main_without_site(*argv.split())
+    assert code == "0"
+    assert not loaded & ARGPARSE_MODULES
+
+
+def test_help_still_loads_argparse():
+    code, loaded = _main_without_site("--help")
+    assert code == "0"
+    assert "argparse" in loaded
 
 
 # Each value next to its repr as the former frozen dataclasses printed it.

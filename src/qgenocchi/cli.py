@@ -20,7 +20,7 @@ from __future__ import annotations
 import io
 import os
 import sys
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from contextlib import suppress
 from fractions import Fraction
 from functools import partial
@@ -69,6 +69,7 @@ from .records import (
     VerificationRecord,
     ratfunc_str,
     record_from_difference,
+    witness_str,
 )
 
 # Which identities gate the exit code.  This split is configuration data:
@@ -271,6 +272,8 @@ _SUBCOMMANDS = {
 
 
 def build_report(cfg: RunConfig) -> dict:
+    """The report of one run: version, config (a dict), records (the sorted
+    `VerificationRecord`s) and summary (PASS and FAIL counts per identity)."""
     records: list[VerificationRecord] = []
     for identity, family in _SUBCOMMANDS[cfg.command].families(cfg):
         try:
@@ -286,14 +289,14 @@ def build_report(cfg: RunConfig) -> dict:
     return {
         "version": __version__,
         "config": cfg.to_dict(),
-        "records": [rec.to_dict() for rec in records],
+        "records": records,
         "summary": summary,
     }
 
 
 def exit_code_for(report: dict) -> int:
     for rec in report["records"]:
-        if rec["identity"] in HARD_IDENTITIES and rec["status"] != PASS:
+        if rec.identity in HARD_IDENTITIES and rec.status != PASS:
             return 1
     return 0
 
@@ -326,22 +329,36 @@ def _json_str(s: str) -> str:
     return json.dumps(s)
 
 
+def _json_leaf(value) -> str:
+    """The text of a str, an int or None; any other value raises TypeError."""
+    kind = type(value)
+    if kind is str:
+        return _json_str(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    raise TypeError(f"not a report value: {value!r}")
+
+
+def _json_key(key) -> str:
+    if type(key) is not str:
+        raise TypeError(f"report key is not a str: {key!r}")
+    return _json_str(key)
+
+
+class _Text(str):
+    """Report text written already, which `_json_put` passes on unchanged."""
+
+
 def _json_put(value, pad: str, put: Callable[[str], None]) -> None:
     """Pass the text of `value`, indented from `pad`, to `put` piece by piece."""
     kind = type(value)
-    if kind is str:
-        put(_json_str(value))
-    elif kind is int:
-        put(int.__repr__(value))
-    elif value is None:
-        put("null")
-    elif kind is dict and value:
+    if kind is dict and value:
         inner = pad + "  "
         sep = "{\n" + inner
         for key, item in sorted(value.items()):
-            if type(key) is not str:
-                raise TypeError(f"report key is not a str: {key!r}")
-            put(f"{sep}{_json_str(key)}: ")
+            put(f"{sep}{_json_key(key)}: ")
             _json_put(item, inner, put)
             sep = ",\n" + inner
         put("\n" + pad + "}")
@@ -355,29 +372,60 @@ def _json_put(value, pad: str, put: Callable[[str], None]) -> None:
         put("\n" + pad + "]")
     elif kind is dict or kind is list:
         put("{}" if kind is dict else "[]")
+    elif kind is _Text:
+        put(value)
     else:
-        raise TypeError(f"not a report value: {value!r}")
+        put(_json_leaf(value))
 
 
 def _json_text(report: dict) -> str:
     """`json.dumps(report, sort_keys=True, indent=2)` and a newline, for a
     tree of dicts with str keys, lists, str, int and None; any other value
-    raises TypeError.  On CPython up to 3.13 an indent makes `json` skip its C
-    encoder; one walk into a single list is faster than its pure-Python one.
-    The walk is a module function, not a closure: a recursive closure is a
-    reference cycle that would keep every piece alive until a collection."""
+    raises TypeError.  The walk is a module function, not a closure: a
+    recursive closure is a reference cycle that would keep every piece alive
+    until a collection."""
     parts: list[str] = []
     _json_put(report, "", parts.append)
     parts.append("\n")
     return "".join(parts)
 
 
+def _json_fields(items: Mapping) -> str:
+    """A record's params or details, as `_json_put` writes them at depth 3."""
+    if not items:
+        return "{}"
+    text = "{"
+    for key, value in sorted(items.items()) if len(items) > 1 else items.items():
+        text += f"\n        {_json_key(key)}: {_json_leaf(value)},"
+    return text[:-1] + "\n      }"
+
+
+def _record_json(rec: VerificationRecord) -> str:
+    """`rec.to_dict()` as `_json_put` writes it in a report's records list
+    (depth 2): the keys in sorted order, `details` only when non-empty and
+    `witness` only when present."""
+    details = f',\n      "details": {_json_fields(rec.details)}' if rec.details else ""
+    witness = (
+        "" if rec.witness is None else f',\n      "witness": {_json_str(witness_str(rec.witness))}'
+    )
+    return (
+        f'{{\n      "convention": {_json_leaf(rec.convention)}{details}'
+        f',\n      "identity": {_json_leaf(rec.identity)}'
+        f',\n      "params": {_json_fields(rec.params)}'
+        f',\n      "status": {_json_leaf(rec.status)}{witness}\n    }}'
+    )
+
+
 def render_report(report: dict, fmt: str) -> str:
+    records = report["records"]
     if fmt == "json":
-        # The same bytes as `json.dumps(report, sort_keys=True, indent=2)`.
-        # `json` itself loads only for a string that needs escaping, which no
-        # pinned report has.
-        return _json_text(report)
+        # The bytes of `json.dumps(report, sort_keys=True, indent=2)` with
+        # each record's `to_dict()`, where an indent runs json's pure-Python
+        # encoder: a template per record and the walk for the rest.  `json`
+        # loads only for a string that needs escaping; no pinned report has one.
+        body = ",\n    ".join(map(_record_json, records))
+        text = f"[\n    {body}\n  ]" if records else "[]"
+        return _json_text({**report, "records": _Text(text)})
     subcommand = _SUBCOMMANDS[report["config"]["command"]]
     columns = subcommand.csv_columns
     if report["config"]["q_eval"] is not None:
@@ -387,8 +435,8 @@ def render_report(report: dict, fmt: str) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    for rec in report["records"]:
-        writer.writerow([_CSV_CELLS[c](rec) for c in columns])
+    for row in map(VerificationRecord.to_dict, records):
+        writer.writerow([_CSV_CELLS[c](row) for c in columns])
     return buf.getvalue()
 
 
@@ -456,6 +504,11 @@ def _refusal(cfg: RunConfig) -> str | None:
 
 
 def config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
+    for flag, spec in _FLAGS.items():
+        # `--flag=--` arrives as [] where argparse strips the `--` (CPython
+        # 3.11) and as "--" where it keeps it; no other line gives either.
+        if getattr(args, spec["dest"]) in ([], "--"):
+            parser.error(f"argument {flag}: expected one argument")
     cfg = RunConfig(**vars(args))
     if refusal := _refusal(cfg):
         parser.error(refusal)

@@ -41,6 +41,11 @@ def ratfunc_str(f: RatFunc) -> str:
     return f"num={_coeff_list(f.num)};den={_coeff_list(f.den)}"
 
 
+def witness_str(witness: Witness) -> str:
+    """The report text of a witness: `ratfunc_str` or `str`."""
+    return ratfunc_str(witness) if isinstance(witness, RatFunc) else str(witness)
+
+
 class VerificationRecord(NamedTuple):
     """Outcome of one exact identity check."""
 
@@ -69,10 +74,8 @@ class VerificationRecord(NamedTuple):
             "convention": self.convention,
             "status": self.status,
         }
-        if isinstance(self.witness, RatFunc):
-            out["witness"] = ratfunc_str(self.witness)
-        elif self.witness is not None:
-            out["witness"] = str(self.witness)
+        if self.witness is not None:
+            out["witness"] = witness_str(self.witness)
         if self.details:
             out["details"] = dict(self.details)
         return out

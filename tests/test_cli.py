@@ -189,9 +189,9 @@ def test_verify_convention_filter(capsys):
 
 
 def test_verify_hard_failures_gate_exit_code():
-    fail_hard = {"records": [{"identity": "alt_qsum", "status": "FAIL"}]}
-    fail_soft = {"records": [{"identity": "closed_form_g", "status": "FAIL"}]}
-    all_pass = {"records": [{"identity": "alt_qsum", "status": "PASS"}]}
+    fail_hard = {"records": [VerificationRecord("alt_qsum", {}, status="FAIL")]}
+    fail_soft = {"records": [VerificationRecord("closed_form_g", {}, status="FAIL")]}
+    all_pass = {"records": [VerificationRecord("alt_qsum", {}, status="PASS")]}
     assert exit_code_for(fail_hard) == 1
     assert exit_code_for(fail_soft) == 0
     assert exit_code_for(all_pass) == 0
@@ -537,6 +537,88 @@ def test_json_text_refuses_what_no_report_holds(value):
         cli._json_text({"records": [value]})
 
 
+report_witnesses = st.none() | st.fractions() | st.builds(
+    RatFunc,
+    st.lists(st.integers(-99, 99), max_size=4).map(poly.Poly),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=3).filter(any).map(poly.Poly),
+)
+report_records = st.builds(
+    VerificationRecord,
+    identity=st.text(max_size=6),
+    params=st.dictionaries(st.text(max_size=4), st.integers(), max_size=3),
+    convention=st.sampled_from([None, "q", "q2"]),
+    status=st.sampled_from(["PASS", "FAIL"]),
+    witness=report_witnesses,
+    details=st.dictionaries(st.text(max_size=4), st.text(max_size=6), max_size=2),
+)
+
+
+@given(st.lists(report_records, max_size=4), st.sampled_from(sorted(cli._SUBCOMMANDS)))
+def test_record_template_matches_the_standard_encoder(recs, command):
+    recs.sort(key=VerificationRecord.sort_key)
+    summary = {}
+    for rec in recs:
+        summary.setdefault(rec.identity, {"PASS": 0, "FAIL": 0})[rec.status] += 1
+    report = {
+        "version": qgenocchi.__version__,
+        "config": cli.RunConfig(command).to_dict(),
+        "records": recs,
+        "summary": summary,
+    }
+    as_dicts = {**report, "records": [rec.to_dict() for rec in recs]}
+    expected = json.dumps(as_dicts, sort_keys=True, indent=2) + "\n"
+    assert cli.render_report(report, "json") == expected
+
+
+@pytest.mark.parametrize(
+    "rec",
+    [
+        VerificationRecord("a", {1: 2}),
+        VerificationRecord("a", {"n": 1.5}),
+        VerificationRecord("a", {"n": True}),
+        VerificationRecord("a", {"n": 1}, details={"v": 2.0}),
+        VerificationRecord(("a",), {"n": 1}),
+        VerificationRecord("a", {"n": 1}, convention=CONVENTIONS[0]),
+    ],
+)
+def test_record_template_refuses_what_no_report_holds(rec):
+    with pytest.raises(TypeError):
+        cli._record_json(rec)
+
+
+def test_json_report_builds_no_record_dicts(capsys, monkeypatch):
+    calls = Counter()
+    to_dict = VerificationRecord.to_dict
+    monkeypatch.setattr(
+        VerificationRecord, "to_dict", lambda rec: calls.update(["to_dict"]) or to_dict(rec)
+    )
+    code, out, _ = run_cli(capsys, ["verify", "--nmax", "2", "--kmax", "2"])
+    assert code == 0 and json.loads(out)["records"]
+    assert calls["to_dict"] == 0
+    # The CSV rows still come from to_dict, one call per record.
+    code, out, _ = run_cli(capsys, ["verify", "--nmax", "2", "--kmax", "2", "--format", "csv"])
+    assert code == 0
+    assert calls["to_dict"] == len(out.splitlines()) - 1 > 0
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["numbers", "--nmax=--"], "--nmax"),
+        (["limits", "--out=--"], "--out"),
+        (["verify", "--nmax", "1", "--kmax", "1", "--convention=--"], "--convention"),
+        (["numbers", "--nmax", "2", "--format=--"], "--format"),
+    ],
+)
+def test_flag_given_a_bare_double_dash_exits_two(run_module, argv, flag):
+    done = run_module(argv)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    message = f"qgenocchi: error: argument {flag}: expected one argument"
+    assert done.stderr.splitlines()[-1] == message
+
+
 def test_in_process_determinism(capsys):
     _, first, _ = run_cli(capsys, ["verify", "--nmax", "3", "--kmax", "3"])
     _, second, _ = run_cli(capsys, ["verify", "--nmax", "3", "--kmax", "3"])
@@ -845,7 +927,8 @@ def fuzz_runs(draw):
     extra = draw(st.lists(st.sampled_from(own * 6 + other), max_size=2, unique=True))
     argv = [command]
     for flag in grid + extra:
-        argv += [flag, value(flag)]
+        # Now and then `--flag=--`, a flag that argparse reads without a value.
+        argv += [f"{flag}=--"] if draw(st.integers(0, 9)) == 9 else [flag, value(flag)]
     # --out, relative to a fresh directory: none, a new file, a file in a
     # missing directory, or the directory itself.
     out = draw(st.sampled_from([None, None, None, "report.out", "missing/report.out", "."]))
@@ -854,7 +937,9 @@ def fuzz_runs(draw):
 
 def _hard_failure(text: str) -> bool:
     if text.startswith("{"):
-        return exit_code_for(json.loads(text)) == 1
+        rows = json.loads(text)["records"]
+        records = [VerificationRecord(r["identity"], {}, status=r["status"]) for r in rows]
+        return exit_code_for({"records": records}) == 1
     rows = list(csv.DictReader(io.StringIO(text)))
     return any(r["identity"] in HARD_IDENTITIES and r.get("status") == "FAIL" for r in rows)
 

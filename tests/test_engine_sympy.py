@@ -1,4 +1,4 @@
-"""The engine's G and G_shift against their definition, written in sympy.
+"""The engine's G, G_shift and alt_qsum against their definitions, in sympy.
 
 The oracle restates the definition in the module docstring of
 `qgenocchi.engine` and shares no code with the engine: with x = q**(1/2)
@@ -7,6 +7,9 @@ X = Q; the t**n/n! coefficient n * sum_j (-1)**(j-1) * weight_j *
 arg_j**(n-1) is expanded as a Laurent polynomial in y; each y**beta, that
 is q**(beta*j/2), is replaced by its regularized alternating sum
 -1 / (1 + x**beta), which is -1/2 at beta = 0; and sympy cancels the result.
+The finite alternating q-power sum `alt_qsum` is restated as the direct
+sum over j < k in its docstring, and lim_{q -> 1} G(n, k) = -n * E_n is
+taken by sympy's `limit` with E_n = `sympy.euler(n, 0)`.
 The only thing read from the engine is the value each check compares.
 sympy is a test-only oracle: the module is skipped where it is not installed.
 """
@@ -15,7 +18,7 @@ from itertools import product
 
 import pytest
 
-from qgenocchi import CONVENTIONS, q_genocchi_number, q_genocchi_number_shifted
+from qgenocchi import CONVENTIONS, alt_qsum, q_genocchi_number, q_genocchi_number_shifted
 
 sympy = pytest.importorskip("sympy")
 
@@ -60,3 +63,36 @@ def test_engine_matches_the_definition(n, k, conv):
         expected = defined_value(n, k, shifted, conv.base_power)
         got = to_sympy(family(n, k, conv).value)
         assert sympy.cancel(got - expected) == 0, (n, k, conv, shifted)
+
+
+def alt_sum_value(n: int, k: int, base_power: int):
+    """sum_{j<k} [j]_{q**2} (-1)**(j-1) [j]_{q**b}**(n-1) q**((k-j)(n+1)/2)."""
+    q, b = x**2, base_power
+    return sympy.cancel(
+        sum(
+            bracket(q ** (2 * j), q**2) * (-1) ** (j - 1) * bracket(q ** (b * j), q**b) ** (n - 1)
+            * x ** ((k - j) * (n + 1))
+            for j in range(k)
+        )
+    )
+
+
+ALT_CELLS = list(product(range(1, 5), range(5), CONVENTIONS))
+
+
+@pytest.mark.parametrize(
+    "n, k, conv", ALT_CELLS, ids=[f"n{n}-k{k}-{conv.value}" for n, k, conv in ALT_CELLS]
+)
+def test_alt_qsum_matches_the_direct_sum(n, k, conv):
+    expected = alt_sum_value(n, k, conv.base_power)
+    assert sympy.cancel(to_sympy(alt_qsum(n, k, conv)) - expected) == 0
+
+
+LIMIT_CELLS = [(1, 0), (2, 3), (3, 1), (4, 2), (5, 2)]
+
+
+@pytest.mark.parametrize("conv", CONVENTIONS, ids=[conv.value for conv in CONVENTIONS])
+@pytest.mark.parametrize("n, k", LIMIT_CELLS)
+def test_limit_of_g_at_q_one_is_minus_n_euler(n, k, conv):
+    got = sympy.limit(to_sympy(q_genocchi_number(n, k, conv).value), x, 1)
+    assert got == -n * sympy.euler(n, sympy.Integer(0)), (n, k, conv)

@@ -7,12 +7,13 @@ the full identity grid.  Reports are emitted as JSON or CSV, to stdout or
 a file, and identical configurations always produce byte-identical output.
 
 Exit codes: 0 when every hard identity in the run passed, 1 when any hard
-identity failed, 2 for bad flags (a flag the subcommand does not read, or
-`numbers --nmax` above NUMBERS_MAX_N) or a bad QGL_MAX_DEGREE, 3 for an
-I/O failure while writing the report, 4 when a polynomial outgrew the
-QGL_MAX_DEGREE cap during the run.
-Report-only identities (the printed closed forms and the classical-limit
-comparisons) never affect the exit code.
+identity failed, 2 for bad flags (a flag the subcommand does not read, a
+`--flag=--` word, a grid bound below 1, or `numbers --nmax` above
+NUMBERS_MAX_N) or a bad QGL_MAX_DEGREE, 3 for an I/O failure while writing
+the report (a closed stdout included), 4 when a polynomial outgrew the
+QGL_MAX_DEGREE cap during the run.  With fd 2 closed the codes still hold
+and nothing is written to stdout.  Report-only identities (the printed
+closed forms and the classical-limit comparisons) never affect the exit code.
 """
 
 from __future__ import annotations
@@ -347,51 +348,25 @@ def _json_key(key) -> str:
     return _json_str(key)
 
 
-class _Text(str):
-    """Report text written already, which `_json_put` passes on unchanged."""
-
-
-def _json_put(value, pad: str, put: Callable[[str], None]) -> None:
-    """Pass the text of `value`, indented from `pad`, to `put` piece by piece."""
+def _json(value, pad: str = "") -> str:
+    """`json.dumps(value, sort_keys=True, indent=2)` with each line after the
+    first indented by `pad`, for a tree of dicts with str keys, lists, str,
+    int and None; any other value raises TypeError."""
     kind = type(value)
-    if kind is dict and value:
-        inner = pad + "  "
-        sep = "{\n" + inner
-        for key, item in sorted(value.items()):
-            put(f"{sep}{_json_key(key)}: ")
-            _json_put(item, inner, put)
-            sep = ",\n" + inner
-        put("\n" + pad + "}")
-    elif kind is list and value:
-        inner = pad + "  "
-        sep = "[\n" + inner
-        for item in value:
-            put(sep)
-            _json_put(item, inner, put)
-            sep = ",\n" + inner
-        put("\n" + pad + "]")
-    elif kind is dict or kind is list:
-        put("{}" if kind is dict else "[]")
-    elif kind is _Text:
-        put(value)
-    else:
-        put(_json_leaf(value))
-
-
-def _json_text(report: dict) -> str:
-    """`json.dumps(report, sort_keys=True, indent=2)` and a newline, for a
-    tree of dicts with str keys, lists, str, int and None; any other value
-    raises TypeError.  The walk is a module function, not a closure: a
-    recursive closure is a reference cycle that would keep every piece alive
-    until a collection."""
-    parts: list[str] = []
-    _json_put(report, "", parts.append)
-    parts.append("\n")
-    return "".join(parts)
+    if kind is not dict and kind is not list:
+        return _json_leaf(value)
+    if not value:
+        return "{}" if kind is dict else "[]"
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if kind is list:
+        return f"[\n{inner}{sep.join(_json(item, inner) for item in value)}\n{pad}]"
+    body = sep.join(f"{_json_key(key)}: {_json(item, inner)}" for key, item in sorted(value.items()))
+    return f"{{\n{inner}{body}\n{pad}}}"
 
 
 def _json_fields(items: Mapping) -> str:
-    """A record's params or details, as `_json_put` writes them at depth 3."""
+    """A record's params or details, as `_json` writes them at depth 3."""
     if not items:
         return "{}"
     text = "{"
@@ -401,7 +376,7 @@ def _json_fields(items: Mapping) -> str:
 
 
 def _record_json(rec: VerificationRecord) -> str:
-    """`rec.to_dict()` as `_json_put` writes it in a report's records list
+    """`rec.to_dict()` as `_json` writes it in a report's records list
     (depth 2): the keys in sorted order, `details` only when non-empty and
     `witness` only when present."""
     details = f',\n      "details": {_json_fields(rec.details)}' if rec.details else ""
@@ -421,11 +396,16 @@ def render_report(report: dict, fmt: str) -> str:
     if fmt == "json":
         # The bytes of `json.dumps(report, sort_keys=True, indent=2)` with
         # each record's `to_dict()`, where an indent runs json's pure-Python
-        # encoder: a template per record and the walk for the rest.  `json`
-        # loads only for a string that needs escaping; no pinned report has one.
+        # encoder: a template per record and `_json` for the rest, with
+        # build_report's four keys in sorted order.  `json` loads only for a
+        # string that needs escaping; no pinned report has one.
         body = ",\n    ".join(map(_record_json, records))
         text = f"[\n    {body}\n  ]" if records else "[]"
-        return _json_text({**report, "records": _Text(text)})
+        return (
+            f'{{\n  "config": {_json(report["config"], "  ")},\n  "records": {text}'
+            f',\n  "summary": {_json(report["summary"], "  ")}'
+            f',\n  "version": {_json_str(report["version"])}\n}}\n'
+        )
     subcommand = _SUBCOMMANDS[report["config"]["command"]]
     columns = subcommand.csv_columns
     if report["config"]["q_eval"] is not None:
@@ -567,11 +547,16 @@ def _clear_caches() -> None:
                     value.cache_clear()
 
 
+def _complain(message: str) -> None:
+    with suppress(AttributeError, OSError):  # fd 2 closed or dead: exit code alone
+        sys.stderr.write(f"qgenocchi: {message}\n")
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         set_max_degree(max_degree())
     except ValueError as exc:
-        print(f"qgenocchi: {exc}", file=sys.stderr)
+        _complain(str(exc))
         return 2
     _clear_caches()
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -590,12 +575,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         report = build_report(cfg)
     except DegreeLimitError as exc:
-        print(f"qgenocchi: {exc}", file=sys.stderr)
+        _complain(str(exc))
         return 4
     try:
         _write_report(render_report(report, cfg.format), cfg.out_path)
     except OSError as exc:
-        print(f"qgenocchi: cannot write report: {exc}", file=sys.stderr)
+        _complain(f"cannot write report: {exc}")
         return 3
     return exit_code_for(report)
 
@@ -608,6 +593,8 @@ def run(argv: list[str] | None = None) -> NoReturn:
     `--out` file is closed inside `main`.  If a flush fails, `sys.exit` ends
     the process instead, so the interpreter reports the failure.  `main`
     stays the in-process API and never ends the process."""
+    if sys.stderr is None:  # fd 2 closed; argparse would print its usage to stdout
+        sys.stderr = io.StringIO()
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse: --version, --help, bad flags

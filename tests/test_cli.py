@@ -517,7 +517,14 @@ report_trees = st.recursive(
 
 @given(report_trees)
 def test_json_text_matches_the_standard_encoder(tree):
-    assert cli._json_text(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+    assert cli._json(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+
+@given(report_trees, st.sampled_from(["", "  ", "    "]))
+def test_json_indents_every_later_line_by_the_pad(tree, pad):
+    assert cli._json(tree, pad) == json.dumps(tree, sort_keys=True, indent=2).replace(
+        "\n", "\n" + pad
+    )
 
 
 @given(st.text())
@@ -534,7 +541,7 @@ def test_json_str_matches_the_standard_encoder(text):
 @pytest.mark.parametrize("value", [True, 1.5, {1: "a"}, ("a",), b"a"])
 def test_json_text_refuses_what_no_report_holds(value):
     with pytest.raises(TypeError):
-        cli._json_text({"records": [value]})
+        cli._json({"records": [value]})
 
 
 report_witnesses = st.none() | st.fractions() | st.builds(
@@ -617,6 +624,41 @@ def test_flag_given_a_bare_double_dash_exits_two(run_module, argv, flag):
     assert "Traceback" not in done.stderr
     message = f"qgenocchi: error: argument {flag}: expected one argument"
     assert done.stderr.splitlines()[-1] == message
+
+
+# (argv, extra env, exit code): a message, or argparse's usage, for stderr.
+STDERR_CODES = [
+    (["--version"], {"QGL_MAX_DEGREE": "abc"}, 2),
+    (["limits", "--nmax", "5", "--kmax", "5"], {"QGL_MAX_DEGREE": "5"}, 4),
+    (["numbers", "--nmax", "2", "--out", "{tmp}/missing/r.json"], {}, 3),
+    (["numbers", "--kmax", "2"], {}, 2),
+]
+
+
+@pytest.mark.parametrize("argv, env, code", STDERR_CODES)
+def test_closed_stderr_keeps_the_exit_code_and_stdout_empty(run_module, tmp_path, argv, env, code):
+    done = run_module([word.format(tmp=tmp_path) for word in argv], close_stderr=True, **env)
+    assert (done.returncode, done.stdout) == (code, "")
+
+
+@pytest.mark.parametrize("argv, env, code", STDERR_CODES)
+def test_dead_stderr_keeps_the_exit_code_and_stdout_empty(tmp_path, argv, env, code):
+    # fd 2 open read-only: sys.stderr exists, and every write to it fails.
+    src = str(Path(qgenocchi.__file__).resolve().parents[1])
+    with open(os.devnull) as read_only:
+        done = subprocess.run(
+            [sys.executable, "-m", "qgenocchi", *(word.format(tmp=tmp_path) for word in argv)],
+            stdout=subprocess.PIPE,
+            stderr=read_only,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src, **env},
+        )
+    assert (done.returncode, done.stdout) == (code, "")
+
+
+def test_closed_stderr_leaves_a_report_as_it_is(run_module):
+    done = run_module(["numbers", "--nmax", "2"], close_stderr=True)
+    assert (done.returncode, done.stdout) == (0, run_module(["numbers", "--nmax", "2"]).stdout)
 
 
 def test_in_process_determinism(capsys):
@@ -730,21 +772,24 @@ def test_main_returns_the_code_in_process(capsys, monkeypatch, argv, cap, code):
         "--version >&-",
         "numbers --nmax 3 >&-",
         "verify --nmax 2 --kmax 2 >&-",
+        "QGL_MAX_DEGREE=abc --version 2>&-",
+        "numbers --nmax 2 --out /no-such-dir/r.json 2>&-",
     ],
 )
 def test_module_entry_matches_in_process_main(run_module, capsys, monkeypatch, argv):
-    # A NAME=value word sets the environment of both runs; `>&-` starts the
-    # child with fd 1 closed, which leaves sys.stdout None, as it is set here.
+    # A NAME=value word sets the environment of both runs; `>&-` (`2>&-`)
+    # starts the child with fd 1 (fd 2) closed, which leaves sys.stdout
+    # (sys.stderr) None, as it is set here.
     monkeypatch.setenv("COLUMNS", "80")  # one --help width in both processes
     words = argv.split()
     env = dict(word.split("=", 1) for word in words if "=" in word)
-    args = [word for word in words if "=" not in word and word != ">&-"]
-    closed = ">&-" in words
-    done = run_module(args, close_stdout=closed, **env)
+    args = [word for word in words if "=" not in word and word not in (">&-", "2>&-")]
+    closed = {name: word in words for name, word in (("stdout", ">&-"), ("stderr", "2>&-"))}
+    done = run_module(args, close_stdout=closed["stdout"], close_stderr=closed["stderr"], **env)
     for name, value in env.items():
         monkeypatch.setenv(name, value)
-    if closed:
-        monkeypatch.setattr(sys, "stdout", None)
+    for name in (name for name, shut in closed.items() if shut):
+        monkeypatch.setattr(sys, name, None)
     with cli_state_restored():
         code = _exit_code(main, args)
     captured = capsys.readouterr()

@@ -22,7 +22,7 @@ import io
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from contextlib import suppress
+from contextlib import redirect_stderr, suppress
 from fractions import Fraction
 from functools import partial
 from itertools import chain, product, starmap
@@ -57,11 +57,11 @@ from .engine import (
 )
 from .poly import DegreeLimitError, Poly, max_degree, set_max_degree
 from .qcore import (
+    _binomial_limit,
+    _power_sum_limit,
     garrett_hummel_check,
     q_binomial_cells,
-    q_binomial_limits,
     q_power_sum_cells,
-    q_power_sum_limits,
     warnaar_check,
 )
 from .ratfunc import R_ONE, RatFunc, evaluate_at_q
@@ -237,8 +237,8 @@ class _Subcommand(NamedTuple):
 
 # The subcommands in `--help` order.  A builder yields lazy (identity,
 # records) families, each drawn before the next is made, and looks up what
-# it calls at call time, so a wrapper set on a module global (perfbench's
-# tracer) sees it.
+# it calls in this module at call time, so a wrapper set on a global here
+# (perfbench's tracer) sees it.  limits maps its checks over qtable's walks.
 _SUBCOMMANDS = {
     "numbers": _Subcommand(
         "classical Bernoulli/Euler/Genocchi tables",
@@ -264,8 +264,8 @@ _SUBCOMMANDS = {
         ("--nmax", "--kmax"),
         # Binomials first, as in qtable: an over-cap --nmax trips in their rows.
         lambda cfg: (
-            ("q_binomial_limit", q_binomial_limits(cfg.n_max)),
-            ("q_power_sum_limit", q_power_sum_limits(cfg.n_max, cfg.k_max)),
+            ("q_binomial_limit", starmap(_binomial_limit, q_binomial_cells(cfg.n_max))),
+            ("q_power_sum_limit", starmap(_power_sum_limit, q_power_sum_cells(cfg.n_max, cfg.k_max))),
         ),
         ("identity", "params", "limit", "classical", "status"),
     ),
@@ -307,16 +307,16 @@ def _params_compact(params: dict) -> str:
 
 
 _CSV_CELLS = {
-    "identity": lambda rec: rec["identity"],
-    "index": lambda rec: rec["params"]["n"],
-    "params": lambda rec: _params_compact(rec["params"]),
-    "value": lambda rec: rec["details"]["value"],
-    "value_at_q": lambda rec: rec["details"]["value_at_q"],
-    "limit": lambda rec: rec["details"]["limit"],
-    "classical": lambda rec: rec["details"]["classical"],
-    "convention": lambda rec: rec["convention"] or "",
-    "status": lambda rec: rec["status"],
-    "witness": lambda rec: rec.get("witness", ""),
+    "identity": lambda rec: rec.identity,
+    "index": lambda rec: rec.params["n"],
+    "params": lambda rec: _params_compact(rec.params),
+    "value": lambda rec: rec.details["value"],
+    "value_at_q": lambda rec: rec.details["value_at_q"],
+    "limit": lambda rec: rec.details["limit"],
+    "classical": lambda rec: rec.details["classical"],
+    "convention": lambda rec: rec.convention or "",
+    "status": lambda rec: rec.status,
+    "witness": lambda rec: "" if rec.witness is None else witness_str(rec.witness),
 }
 
 
@@ -415,8 +415,8 @@ def render_report(report: dict, fmt: str) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    for row in map(VerificationRecord.to_dict, records):
-        writer.writerow([_CSV_CELLS[c](row) for c in columns])
+    for rec in records:
+        writer.writerow([_CSV_CELLS[c](rec) for c in columns])
     return buf.getvalue()
 
 
@@ -566,8 +566,10 @@ def main(argv: list[str] | None = None) -> int:
         raise SystemExit(0)
     cfg = _fast_config(argv)
     if cfg is None:  # --help, a refusal or another shape
-        parser = build_parser()
-        cfg = config_from_args(parser.parse_args(argv), parser)
+        # With sys.stderr None (fd 2 closed), argparse prints usage to stdout.
+        with redirect_stderr(sys.stderr or io.StringIO()):
+            parser = build_parser()
+            cfg = config_from_args(parser.parse_args(argv), parser)
     # The flags were parsed under Python's int-to-str digit limit; exact
     # values of any length are printed.
     if hasattr(sys, "set_int_max_str_digits"):
@@ -591,10 +593,8 @@ def run(argv: list[str] | None = None) -> NoReturn:
     when argparse exits.  Ending the process here skips the interpreter's
     finalization and `atexit` hooks; the package registers none, and the
     `--out` file is closed inside `main`.  If a flush fails, `sys.exit` ends
-    the process instead, so the interpreter reports the failure.  `main`
-    stays the in-process API and never ends the process."""
-    if sys.stderr is None:  # fd 2 closed; argparse would print its usage to stdout
-        sys.stderr = io.StringIO()
+    the process, so the interpreter reports the failure.  `main`, the
+    in-process API, never ends the process and guards a closed fd 2 itself."""
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse: --version, --help, bad flags

@@ -14,7 +14,7 @@ f(n) = q**((m+1)/2) f(n-1) + [n]_{q^2} [n]_q**(m-1) on integer lists, each
 term built by running sums (`_bracket_term`), the binomials row by row by
 the q-Pascal rule [n, k] = [n-1, k-1] + q**k [n-1, k] (Andrews, The Theory
 of Partitions, Thm 3.2).  `q_binomial_cells` and `q_power_sum_cells` walk
-whole grids of them, one step per cell.
+whole grids, one step per cell; `cli`'s qtable and limits both draw them.
 """
 
 from __future__ import annotations
@@ -253,18 +253,6 @@ def _binomial_limit(n: int, k: int, f: Poly) -> VerificationRecord:
     """q -> 1 limit of the polynomial f = [n choose k]_q vs binom(n, k)."""
     classical = Fraction(comb(n, k))
     return limit_record("q_binomial_limit", {"k": k, "n": n}, f(1), classical)
-
-
-def q_power_sum_limits(m_max: int, n_max: int) -> Iterator[VerificationRecord]:
-    """The q -> 1 limit checks of f_{m,q}(n), 1 <= m <= m_max, 1 <= n <= n_max."""
-    for m, n, f in q_power_sum_cells(m_max, n_max):
-        yield _power_sum_limit(m, n, f)
-
-
-def q_binomial_limits(n_max: int) -> Iterator[VerificationRecord]:
-    """The q -> 1 limit checks of [n choose k]_q for 0 <= k <= n <= n_max."""
-    for n, k, f in q_binomial_cells(n_max):
-        yield _binomial_limit(n, k, f)
 
 
 def q_power_sum_limit_check(m: int, n: int) -> VerificationRecord:

@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qgenocchi
-from qgenocchi import CONVENTIONS, DegreeLimitError, RatFunc, VerificationRecord, cli, poly, qcore
+from qgenocchi import CONVENTIONS, DegreeLimitError, RatFunc, VerificationRecord, cli, poly
 from qgenocchi.cli import (
     HARD_IDENTITIES,
     NUMBERS_MAX_N,
@@ -431,10 +431,16 @@ def test_each_run_enforces_the_cap_it_read(monkeypatch, capsys):
 
 def test_over_cap_limits_trips_before_the_power_sums(monkeypatch, capsys):
     # The q-Pascal rows reach the cap within a few rows, so a long --nmax
-    # ends there without one q-power-sum record.
+    # ends there without one q-power-sum record.  The spy sits where the
+    # limits builder looks the check up: at the default cap it sees each cell.
     built = []
-    monkeypatch.setattr(qcore, "_power_sum_limit", lambda *args: built.append(args))
+    check = cli._power_sum_limit
+    monkeypatch.setattr(cli, "_power_sum_limit", lambda *args: built.append(args) or check(*args))
+    monkeypatch.delenv("QGL_MAX_DEGREE", raising=False)
     with cli_state_restored():
+        assert run_cli(capsys, ["limits", "--nmax", "3", "--kmax", "3"])[0] == 0
+        assert len(built) == 9
+        built.clear()
         monkeypatch.setenv("QGL_MAX_DEGREE", "100")
         code, out, err = run_cli(capsys, ["limits", "--nmax", "1000", "--kmax", "1"])
     assert (code, out, built) == (4, "", [])
@@ -602,10 +608,64 @@ def test_json_report_builds_no_record_dicts(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["verify", "--nmax", "2", "--kmax", "2"])
     assert code == 0 and json.loads(out)["records"]
     assert calls["to_dict"] == 0
-    # The CSV rows still come from to_dict, one call per record.
+    # The CSV rows are written from the records too.
     code, out, _ = run_cli(capsys, ["verify", "--nmax", "2", "--kmax", "2", "--format", "csv"])
     assert code == 0
-    assert calls["to_dict"] == len(out.splitlines()) - 1 > 0
+    assert calls["to_dict"] == 0 < len(out.splitlines()) - 1
+
+
+# The CSV row writer as it was when each row came from `to_dict()`: an
+# independent oracle for the writer that reads the records themselves.
+_CSV_ORACLE_CELLS = {
+    "identity": lambda row: row["identity"],
+    "index": lambda row: row["params"]["n"],
+    "params": lambda row: ";".join(f"{k}={v}" for k, v in sorted(row["params"].items())),
+    "value": lambda row: row["details"]["value"],
+    "value_at_q": lambda row: row["details"]["value_at_q"],
+    "limit": lambda row: row["details"]["limit"],
+    "classical": lambda row: row["details"]["classical"],
+    "convention": lambda row: row["convention"] or "",
+    "status": lambda row: row["status"],
+    "witness": lambda row: row.get("witness", ""),
+}
+
+
+def _csv_oracle(recs, columns) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in map(VerificationRecord.to_dict, recs):
+        writer.writerow([_CSV_ORACLE_CELLS[c](row) for c in columns])
+    return buf.getvalue()
+
+
+# (subcommand, --q) -> the CSV columns of its report.
+CSV_COLUMNS = {
+    ("numbers", None): ("identity", "index", "value"),
+    ("qtable", None): ("identity", "params", "value"),
+    ("qtable", Fraction(1, 3)): ("identity", "params", "value", "value_at_q"),
+    ("verify", None): ("identity", "params", "convention", "status", "witness"),
+    ("limits", None): ("identity", "params", "limit", "classical", "status"),
+}
+csv_records = st.builds(
+    VerificationRecord,
+    identity=st.text(max_size=6),
+    params=st.fixed_dictionaries({"n": st.integers()}, optional={"k": st.integers()}),
+    convention=st.sampled_from([None, "q", "q2"]),
+    status=st.sampled_from(["PASS", "FAIL"]),
+    witness=report_witnesses,
+    # Every details key that some column set reads.
+    details=st.fixed_dictionaries(
+        dict.fromkeys(("value", "value_at_q", "limit", "classical"), st.text(max_size=6))
+    ),
+)
+
+
+@given(st.lists(csv_records, max_size=4), st.sampled_from(list(CSV_COLUMNS)))
+def test_csv_rows_match_the_record_dict_writer(recs, run):
+    command, q_eval = run
+    report = {"config": cli.RunConfig(command, q_eval=q_eval).to_dict(), "records": recs}
+    assert cli.render_report(report, "csv") == _csv_oracle(recs, CSV_COLUMNS[run])
 
 
 @pytest.mark.parametrize(
@@ -659,6 +719,17 @@ def test_dead_stderr_keeps_the_exit_code_and_stdout_empty(tmp_path, argv, env, c
 def test_closed_stderr_leaves_a_report_as_it_is(run_module):
     done = run_module(["numbers", "--nmax", "2"], close_stderr=True)
     assert (done.returncode, done.stdout) == (0, run_module(["numbers", "--nmax", "2"]).stdout)
+
+
+@pytest.mark.parametrize("argv", ["numbers --kmax 2", "limits --nmax 0 --kmax 1"])
+def test_in_process_refusal_with_stderr_none_keeps_stdout_empty(monkeypatch, argv):
+    # An argparse refusal and a range-check refusal: with sys.stderr None
+    # argparse would print its usage to sys.stdout.
+    monkeypatch.setattr(sys, "stderr", None)
+    out = io.StringIO()
+    with redirect_stdout(out), pytest.raises(SystemExit) as exc, cli_state_restored():
+        main(argv.split())
+    assert (exc.value.code, out.getvalue(), sys.stderr) == (2, "", None)
 
 
 def test_in_process_determinism(capsys):

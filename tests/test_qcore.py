@@ -15,13 +15,11 @@ from qgenocchi.qcore import (
     q_binomial,
     q_binomial_cells,
     q_binomial_limit_check,
-    q_binomial_limits,
     q_integer,
     q_integer_poly,
     q_power_sum,
     q_power_sum_cells,
     q_power_sum_limit_check,
-    q_power_sum_limits,
     warnaar_check,
 )
 from qgenocchi.ratfunc import R_ONE, R_ZERO, RatFunc, monomial_q
@@ -376,9 +374,13 @@ def test_grid_cells_match_single_cells():
     assert list(q_power_sum_cells(3, 5)) == [
         (m, n, q_power_sum(m, n).num) for m in range(1, 4) for n in range(1, 6)
     ]
-    assert list(q_power_sum_limits(3, 5)) == [
-        q_power_sum_limit_check(m, n) for m in range(1, 4) for n in range(1, 6)
-    ]
-    assert list(q_binomial_limits(3)) == [
+    # limits maps its checks over the same walks, binomial rows first.
+    (_, binomials), (_, power_sums) = cli._SUBCOMMANDS["limits"].families(
+        cli.RunConfig("limits", n_max=3, k_max=5)
+    )
+    assert list(binomials) == [
         q_binomial_limit_check(n, k) for n in range(4) for k in range(n + 1)
+    ]
+    assert list(power_sums) == [
+        q_power_sum_limit_check(m, n) for m in range(1, 4) for n in range(1, 6)
     ]

@@ -23,55 +23,20 @@ import os
 import sys
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from contextlib import redirect_stderr, suppress
-from fractions import Fraction
 from functools import partial
-from itertools import chain, product, starmap
+from itertools import chain, product, repeat, starmap
 from typing import TYPE_CHECKING, NamedTuple, NoReturn
 
-if TYPE_CHECKING:  # argparse loads only for --help, refusals and unusual lines
-    import argparse
+from . import CONVENTIONS, Convention, __version__
 
-from . import __version__
-from .classical import (
-    alt_power_sum,
-    alt_power_sum_via_euler,
-    alt_sum_formula_check,
-    bernoulli_numbers,
-    euler_numbers,
-    faulhaber_sum,
-    genocchi_numbers,
-    order_r_genocchi,
-    power_sum,
-)
-from .engine import (
-    CONVENTIONS,
-    Convention,
-    ExpTerm,
-    check_alt_qsum,
-    check_closed_form_g,
-    check_closed_form_g_shift,
-    classical_limit_check,
-    fermionic_sum,
-    partial_sum,
-    shift_terms,
-)
-from .poly import DegreeLimitError, Poly, max_degree, set_max_degree
-from .qcore import (
-    _binomial_limit,
-    _power_sum_limit,
-    garrett_hummel_check,
-    q_binomial_cells,
-    q_power_sum_cells,
-    warnaar_check,
-)
-from .ratfunc import R_ONE, RatFunc, evaluate_at_q
-from .records import (
-    PASS,
-    VerificationRecord,
-    ratfunc_str,
-    record_from_difference,
-    witness_str,
-)
+# Each function imports the package modules it calls, so a command loads
+# only what it runs; argparse loads only for --help, refusals and unusual lines.
+if TYPE_CHECKING:
+    import argparse
+    from fractions import Fraction
+
+    from .engine import ExpTerm
+    from .records import VerificationRecord
 
 # Which identities gate the exit code.  This split is configuration data:
 # promoting a corrected closed form to hard is an edit here, not in the
@@ -121,6 +86,9 @@ class RunConfig(NamedTuple):
 
 
 def _numbers_records(cfg: RunConfig) -> Iterator[tuple[str, Iterable[VerificationRecord]]]:
+    from .classical import bernoulli_numbers, euler_numbers, genocchi_numbers, order_r_genocchi
+    from .records import VerificationRecord
+
     for table in (
         bernoulli_numbers(cfg.n_max),
         euler_numbers(cfg.n_max),
@@ -133,9 +101,35 @@ def _numbers_records(cfg: RunConfig) -> Iterator[tuple[str, Iterable[Verificatio
         )
 
 
+def _walk_families(
+    cfg: RunConfig, binomial: tuple[str, Callable], power_sum: tuple[str, Callable]
+) -> Iterator[tuple[str, Iterable[VerificationRecord]]]:
+    """The families of qtable and limits, each an (identity, record of one
+    cell) pair mapped over its qcore walk, the q-binomials first.  A walk
+    checks the degree cap when it is made, so each is first made and
+    dropped inside an empty family of its identity: an over-cap grid
+    builds no cell of either walk, and the runner names the walk that trips."""
+    from .qcore import q_binomial_cells, q_power_sum_cells
+
+    def checked(make: Callable[[], Iterator]) -> Iterator:
+        make()
+        yield from ()
+
+    binomials = (*binomial, partial(q_binomial_cells, cfg.n_max))
+    walks = (binomials, (*power_sum, partial(q_power_sum_cells, cfg.n_max, cfg.k_max)))
+    for identity, _, make in walks:
+        yield identity, checked(make)
+    for identity, record, make in walks:
+        yield identity, starmap(record, make())
+
+
 def _qtable_records(cfg: RunConfig) -> Iterator[tuple[str, Iterable[VerificationRecord]]]:
-    def table(identity: str, names: tuple, cells: Iterable) -> Iterator[VerificationRecord]:
-        for *index, f in cells:
+    from .ratfunc import RatFunc, evaluate_at_q
+    from .records import VerificationRecord, ratfunc_str
+
+    def table(identity: str, names: tuple[str, str]) -> tuple[str, Callable]:
+        def record(*cell) -> VerificationRecord:
+            *index, f = cell
             value = RatFunc(f)
             details = {"value": ratfunc_str(value)}
             if cfg.q_eval is not None:
@@ -144,14 +138,19 @@ def _qtable_records(cfg: RunConfig) -> Iterator[tuple[str, Iterable[Verification
                 except ValueError:  # a half-integer power of q at a non-square q
                     at_q = "REQUIRES-SQUARE-Q"
                 details["value_at_q"] = str(at_q)
-            yield VerificationRecord(identity, dict(zip(names, index)), details=details)
+            return VerificationRecord(identity, dict(zip(names, index)), details=details)
 
-    yield "q_binomial", table("q_binomial", ("n", "k"), q_binomial_cells(cfg.n_max))
-    yield "q_power_sum", table("q_power_sum", ("m", "n"), q_power_sum_cells(cfg.n_max, cfg.k_max))
+        return identity, record
+
+    return _walk_families(cfg, table("q_binomial", ("n", "k")), table("q_power_sum", ("m", "n")))
 
 
 def _draw_trial(rng) -> tuple[tuple[ExpTerm, ...], int]:
     """One seeded trial: terms with coefficients num / (x**a + c), and a shift k."""
+    from .engine import ExpTerm
+    from .poly import Poly
+    from .ratfunc import RatFunc
+
     terms = []
     for _ in range(rng.randint(1, 4)):
         num = [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))]
@@ -171,6 +170,9 @@ def shift_law_record() -> VerificationRecord:
     draws the seeded trials and runs each one through the three maps.
     One aggregated record: PASS only when every seeded trial holds exactly.
     """
+    from .engine import ExpTerm, fermionic_sum, partial_sum, shift_terms
+    from .ratfunc import R_ONE
+    from .records import record_from_difference
 
     def holds(t: tuple[ExpTerm, ...], k: int) -> bool:
         # lhs - rhs = a - c + e is 0 iff a + e == c, over the three denominators.
@@ -198,6 +200,15 @@ def shift_law_record() -> VerificationRecord:
 
 
 def _verify_records(cfg: RunConfig) -> Iterator[tuple[str, Iterable[VerificationRecord]]]:
+    from .classical import (
+        alt_power_sum, alt_power_sum_via_euler, alt_sum_formula_check, faulhaber_sum, power_sum
+    )
+    from .engine import (
+        check_alt_qsum, check_closed_form_g, check_closed_form_g_shift, classical_limit_check
+    )
+    from .qcore import garrett_hummel_check, warnaar_check
+    from .records import record_from_difference
+
     ns, ks = range(1, cfg.n_max + 1), range(1, cfg.k_max + 1)
     pairs = partial(product, ns, ks[1:])  # each family draws its own lazy grid of (k, n)
 
@@ -227,6 +238,14 @@ def _verify_records(cfg: RunConfig) -> Iterator[tuple[str, Iterable[Verification
     yield "shift_law", (shift_law_record() for _ in range(1))  # one record
 
 
+def _limits_records(cfg: RunConfig) -> Iterator[tuple[str, Iterable[VerificationRecord]]]:
+    from .qcore import _binomial_limit, _power_sum_limit
+
+    return _walk_families(
+        cfg, ("q_binomial_limit", _binomial_limit), ("q_power_sum_limit", _power_sum_limit)
+    )
+
+
 class _Subcommand(NamedTuple):
     help: str
     flags: tuple[str, ...]  # the grid flags its builder reads
@@ -236,8 +255,8 @@ class _Subcommand(NamedTuple):
 
 
 # The subcommands in `--help` order.  A builder yields lazy (identity,
-# records) families, each drawn before the next is made, and looks up what
-# it calls in this module at call time, so a wrapper set on a global here
+# records) families, each drawn before the next is made, and imports what
+# it calls from the defining module at call time, so a wrapper set there
 # (perfbench's tracer) sees it.  limits maps its checks over qtable's walks.
 _SUBCOMMANDS = {
     "numbers": _Subcommand(
@@ -262,11 +281,7 @@ _SUBCOMMANDS = {
     "limits": _Subcommand(
         "q -> 1 limit checks with pole flags",
         ("--nmax", "--kmax"),
-        # Binomials first, as in qtable: an over-cap --nmax trips in their rows.
-        lambda cfg: (
-            ("q_binomial_limit", starmap(_binomial_limit, q_binomial_cells(cfg.n_max))),
-            ("q_power_sum_limit", starmap(_power_sum_limit, q_power_sum_cells(cfg.n_max, cfg.k_max))),
-        ),
+        _limits_records,
         ("identity", "params", "limit", "classical", "status"),
     ),
 }
@@ -275,6 +290,9 @@ _SUBCOMMANDS = {
 def build_report(cfg: RunConfig) -> dict:
     """The report of one run: version, config (a dict), records (the sorted
     `VerificationRecord`s) and summary (PASS and FAIL counts per identity)."""
+    from .poly import DegreeLimitError
+    from .records import VerificationRecord
+
     records: list[VerificationRecord] = []
     for identity, family in _SUBCOMMANDS[cfg.command].families(cfg):
         try:
@@ -296,6 +314,8 @@ def build_report(cfg: RunConfig) -> dict:
 
 
 def exit_code_for(report: dict) -> int:
+    from .records import PASS
+
     for rec in report["records"]:
         if rec.identity in HARD_IDENTITIES and rec.status != PASS:
             return 1
@@ -316,8 +336,7 @@ _CSV_CELLS = {
     "classical": lambda rec: rec.details["classical"],
     "convention": lambda rec: rec.convention or "",
     "status": lambda rec: rec.status,
-    "witness": lambda rec: "" if rec.witness is None else witness_str(rec.witness),
-}
+}  # and "witness", which render_report adds
 
 
 def _json_str(s: str) -> str:
@@ -375,7 +394,7 @@ def _json_fields(items: Mapping) -> str:
     return text[:-1] + "\n      }"
 
 
-def _record_json(rec: VerificationRecord) -> str:
+def _record_json(rec: VerificationRecord, witness_str: Callable[[object], str]) -> str:
     """`rec.to_dict()` as `_json` writes it in a report's records list
     (depth 2): the keys in sorted order, `details` only when non-empty and
     `witness` only when present."""
@@ -392,6 +411,8 @@ def _record_json(rec: VerificationRecord) -> str:
 
 
 def render_report(report: dict, fmt: str) -> str:
+    from .records import witness_str  # once per run, not per record
+
     records = report["records"]
     if fmt == "json":
         # The bytes of `json.dumps(report, sort_keys=True, indent=2)` with
@@ -399,7 +420,7 @@ def render_report(report: dict, fmt: str) -> str:
         # encoder: a template per record and `_json` for the rest, with
         # build_report's four keys in sorted order.  `json` loads only for a
         # string that needs escaping; no pinned report has one.
-        body = ",\n    ".join(map(_record_json, records))
+        body = ",\n    ".join(map(_record_json, records, repeat(witness_str)))
         text = f"[\n    {body}\n  ]" if records else "[]"
         return (
             f'{{\n  "config": {_json(report["config"], "  ")},\n  "records": {text}'
@@ -414,13 +435,16 @@ def render_report(report: dict, fmt: str) -> str:
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
+    cells = {**_CSV_CELLS, "witness": lambda rec: "" if rec.witness is None else witness_str(rec.witness)}
     writer.writerow(columns)
     for rec in records:
-        writer.writerow([_CSV_CELLS[c](rec) for c in columns])
+        writer.writerow([cells[c](rec) for c in columns])
     return buf.getvalue()
 
 
 def _q_value(text: str) -> Fraction:
+    from fractions import Fraction
+
     error = "not a rational strictly between 0 and 1"
     try:
         # Fraction would expand an exponent, as in 1e-5000, to a power of ten.
@@ -552,13 +576,27 @@ def _complain(message: str) -> None:
         sys.stderr.write(f"qgenocchi: {message}\n")
 
 
+def max_degree() -> int | None:
+    """The degree cap the QGL_MAX_DEGREE env var names, or None when it is
+    unset or empty, which `poly.set_max_degree` reads as its default, 10000.
+
+    Reads the environment on every call.  Raises ValueError unless the
+    variable is unset, empty or a positive integer.
+    """
+    raw = os.environ.get("QGL_MAX_DEGREE")
+    if not raw:
+        return None
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ValueError(f"QGL_MAX_DEGREE must be a positive integer, got {raw!r}")
+    return int(raw)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        set_max_degree(max_degree())
+        cap = max_degree()
     except ValueError as exc:
         _complain(str(exc))
         return 2
-    _clear_caches()
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv == ["--version"]:  # argparse's version action, without argparse
         with suppress(AttributeError, OSError):  # as argparse's _print_message
@@ -570,6 +608,10 @@ def main(argv: list[str] | None = None) -> int:
         with redirect_stderr(sys.stderr or io.StringIO()):
             parser = build_parser()
             cfg = config_from_args(parser.parse_args(argv), parser)
+    from .poly import DegreeLimitError, set_max_degree  # past --version, --help and refusals
+
+    set_max_degree(cap)
+    _clear_caches()
     # The flags were parsed under Python's int-to-str digit limit; exact
     # values of any length are printed.
     if hasattr(sys, "set_int_max_str_digits"):

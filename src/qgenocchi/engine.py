@@ -26,13 +26,13 @@ Convention flag and every check reports per convention.
 
 from __future__ import annotations
 
-import enum
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, prod
 from typing import Iterable, Literal, NamedTuple
 
+from . import CONVENTIONS, Convention  # defined at the root, so parsing loads no engine
 from .classical import order_r_genocchi
 from .poly import ONE, Poly, _check_degree, _make, _shifted_sum
 from .qcore import _horner_step, limit_at_one, q_integer
@@ -44,27 +44,6 @@ from .records import (
 )
 
 Variant = Literal["plain", "shifted"]
-
-
-class Convention(enum.Enum):
-    """Bracket base used inside the exponential argument."""
-
-    Q = "q"
-    Q2 = "q2"
-
-    @property
-    def base_power(self) -> int:
-        return 1 if self is Convention.Q else 2
-
-    @classmethod
-    def parse(cls, text: str) -> "Convention":
-        for member in cls:
-            if member.value == text:
-                return member
-        raise ValueError(f"unknown convention {text!r}; expected 'q' or 'q2'")
-
-
-CONVENTIONS = (Convention.Q, Convention.Q2)
 
 
 class ExpTerm(NamedTuple):

@@ -12,7 +12,6 @@ numerators and degree -1.  ``coeffs`` reads them back as ``Fraction``s.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from math import gcd as _igcd, lcm as _ilcm
 from typing import Iterable, Sequence, Union
@@ -25,20 +24,6 @@ _ENV_MAX_DEGREE = "QGL_MAX_DEGREE"
 
 class DegreeLimitError(RuntimeError):
     """A polynomial exceeded the QGL_MAX_DEGREE resource cap."""
-
-
-def max_degree() -> int:
-    """Degree cap named by the QGL_MAX_DEGREE env var, default 10000.
-
-    Reads the environment on every call.  Raises ValueError unless the
-    variable is unset, empty or a positive integer.
-    """
-    raw = os.environ.get(_ENV_MAX_DEGREE)
-    if not raw:
-        return DEFAULT_MAX_DEGREE
-    if not raw.isdecimal() or int(raw) < 1:
-        raise ValueError(f"{_ENV_MAX_DEGREE} must be a positive integer, got {raw!r}")
-    return int(raw)
 
 
 # The cap _make enforces; the CLI installs each run's QGL_MAX_DEGREE here.

@@ -14,7 +14,8 @@ f(n) = q**((m+1)/2) f(n-1) + [n]_{q^2} [n]_q**(m-1) on integer lists, each
 term built by running sums (`_bracket_term`), the binomials row by row by
 the q-Pascal rule [n, k] = [n-1, k-1] + q**k [n-1, k] (Andrews, The Theory
 of Partitions, Thm 3.2).  `q_binomial_cells` and `q_power_sum_cells` walk
-whole grids, one step per cell; `cli`'s qtable and limits both draw them.
+whole grids, one step per cell, and check the degree cap when they are
+made; `cli`'s qtable and limits both draw them.
 """
 
 from __future__ import annotations
@@ -82,6 +83,17 @@ def _check_walk(degrees: Iterable[int], widest: int) -> None:
         raise
 
 
+def _check_binomials(n_max: int, k_max: int) -> None:
+    """Check the cap before the walk of rows 0..n_max, columns 0..k_max of
+    the q-Pascal triangle: [n, k] has degree 2k(n-k), widest at
+    k = min(k_max, n // 2)."""
+    widest = min(k_max, n_max // 2)
+    _check_walk(
+        (2 * k * (n - k) for n in range(1, n_max + 1) for k in range(1, min(n, k_max + 1))),
+        2 * widest * (n_max - widest),
+    )
+
+
 def _binomial_rows(n_max: int, k_max: int) -> Iterator[list[Poly]]:
     """Rows 0..n_max of the Gaussian binomial triangle, as integer polynomials.
 
@@ -89,14 +101,8 @@ def _binomial_rows(n_max: int, k_max: int) -> Iterator[list[Poly]]:
     q-Pascal rule [n, k] = [n-1, k-1] + x**(2k) [n-1, k].  Column k needs
     only columns <= k of the row before, so a bounded walk never builds a
     cell of higher degree than [n_max, k_max] when 2 k_max <= n_max.  The
-    cap is checked before row 0: [n, k] has degree 2k(n-k), widest at
-    k = min(k_max, n // 2).
+    callers check the cap first, by `_check_binomials`.
     """
-    widest = min(k_max, n_max // 2)
-    _check_walk(
-        (2 * k * (n - k) for n in range(1, n_max + 1) for k in range(1, min(n, k_max + 1))),
-        2 * widest * (n_max - widest),
-    )
     row = [ONE]
     yield row
     for n in range(1, n_max + 1):
@@ -107,10 +113,11 @@ def _binomial_rows(n_max: int, k_max: int) -> Iterator[list[Poly]]:
 
 
 def q_binomial_cells(n_max: int) -> Iterator[tuple[int, int, Poly]]:
-    """(n, k, [n choose k]_q) for 0 <= k <= n <= n_max, row by row."""
-    for n, row in enumerate(_binomial_rows(n_max, n_max)):
-        for k, value in enumerate(row):
-            yield n, k, value
+    """(n, k, [n choose k]_q) for 0 <= k <= n <= n_max, row by row.  The
+    cap is checked when the walk is made, before it yields a cell."""
+    _check_binomials(n_max, n_max)
+    rows = enumerate(_binomial_rows(n_max, n_max))
+    return ((n, k, value) for n, row in rows for k, value in enumerate(row))
 
 
 def q_binomial(n: int, k: int) -> RatFunc:
@@ -125,6 +132,7 @@ def q_binomial(n: int, k: int) -> RatFunc:
     if k < 0 or k > n:
         return R_ZERO
     k = min(k, n - k)
+    _check_binomials(n, k)
     return RatFunc(_last(_binomial_rows(n, k))[k])
 
 
@@ -180,11 +188,14 @@ def _power_sums(m: int, n_max: int) -> Iterator[Poly]:
 
 
 def q_power_sum_cells(m_max: int, n_max: int) -> Iterator[tuple[int, int, Poly]]:
-    """(m, n, f_{m,q}(n)) for 1 <= m <= m_max and 1 <= n <= n_max, m by m."""
+    """(m, n, f_{m,q}(n)) for 1 <= m <= m_max and 1 <= n <= n_max, m by m.
+    The cap is checked when the walk is made, before it yields a cell."""
     _check_power_sums(1, m_max, n_max)
-    for m in range(1, m_max + 1):
-        for n, value in enumerate(islice(_power_sums(m, n_max), 1, None), 1):
-            yield m, n, value
+    return (
+        (m, n, value)
+        for m in range(1, m_max + 1)
+        for n, value in enumerate(islice(_power_sums(m, n_max), 1, None), 1)
+    )
 
 
 def q_power_sum(m: int, n: int) -> RatFunc:

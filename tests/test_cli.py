@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 import qgenocchi
 from qgenocchi import CONVENTIONS, DegreeLimitError, RatFunc, VerificationRecord, cli, poly
+from qgenocchi import classical, engine, qcore
 from qgenocchi.cli import (
     HARD_IDENTITIES,
     NUMBERS_MAX_N,
@@ -35,7 +36,7 @@ from qgenocchi.cli import (
 )
 from qgenocchi.qcore import q_power_sum
 from qgenocchi.ratfunc import R_ZERO, evaluate_at_q
-from qgenocchi.records import ratfunc_str
+from qgenocchi.records import ratfunc_str, witness_str
 
 from report_digests import REPORT_DIGESTS
 
@@ -210,8 +211,8 @@ def test_shift_law_record_shape():
 def test_shift_law_failure_keeps_first_witness(monkeypatch):
     # Off by one on the finite partial sum: every trial fails and the first
     # trial's difference lhs - rhs is exactly the constant 1.
-    partial_sum = cli.partial_sum
-    monkeypatch.setattr(cli, "partial_sum", lambda terms, k: partial_sum(terms, k) + 1)
+    partial_sum = engine.partial_sum
+    monkeypatch.setattr(engine, "partial_sum", lambda terms, k: partial_sum(terms, k) + 1)
     rec = shift_law_record()
     assert rec.status == "FAIL"
     assert rec.details["failures"] == str(SHIFT_LAW_TRIALS) == "200"
@@ -221,13 +222,13 @@ def test_shift_law_failure_keeps_first_witness(monkeypatch):
 def _shift_law_by_trials():
     """failures and first witness of the 200 seeded trials, each built from
     cli's own draws (the same RNG stream) and run through the three maps as
-    cli names them."""
+    engine names them, where a spy patches them."""
     rng = random.Random(cli.SHIFT_LAW_SEED)
     failures, witness = 0, None
     for _ in range(SHIFT_LAW_TRIALS):
         terms, k = cli._draw_trial(rng)
-        lhs = cli.fermionic_sum(cli.shift_terms(terms, k))
-        rhs = cli.fermionic_sum(terms) - cli.partial_sum(terms, k)
+        lhs = engine.fermionic_sum(engine.shift_terms(terms, k))
+        rhs = engine.fermionic_sum(terms) - engine.partial_sum(terms, k)
         if lhs != rhs:
             failures += 1
             witness = witness or lhs - rhs
@@ -237,8 +238,8 @@ def _shift_law_by_trials():
 def test_shift_law_linear_fault_matches_trial_replay(monkeypatch):
     # One summand too many: the maps stay linear, so the defect table must
     # report exactly what running every trial through them reports.
-    partial_sum = cli.partial_sum
-    monkeypatch.setattr(cli, "partial_sum", lambda terms, k: partial_sum(terms, k + 1))
+    partial_sum = engine.partial_sum
+    monkeypatch.setattr(engine, "partial_sum", lambda terms, k: partial_sum(terms, k + 1))
     failures, witness = _shift_law_by_trials()
     # The seeded stream, pinned apart from _draw_trial.
     assert (failures, ratfunc_str(witness)) == (200, "num=[1/2,0,0,0,0,0,-2];den=[0,0,0,0,1]")
@@ -285,14 +286,14 @@ def test_shift_law_one_faulty_cell_falls_back_to_trial_replay(monkeypatch, cell)
     # is not linear.  One nonzero table entry must replay the trials, and
     # only the trials themselves give the failures and the first witness,
     # pinned as the seeded stream gives them.
-    partial_sum = cli.partial_sum
+    partial_sum = engine.partial_sum
     beta2, shift, power, *pinned = cell
 
     def faulty(terms, k):
         extra = sum((t.coeff**power for t in terms if t.beta2 == beta2), R_ZERO)
         return partial_sum(terms, k) + (extra if k == shift else 0)
 
-    monkeypatch.setattr(cli, "partial_sum", faulty)
+    monkeypatch.setattr(engine, "partial_sum", faulty)
     failures, witness = _shift_law_by_trials()
     assert 0 < failures < SHIFT_LAW_TRIALS
     assert [failures, ratfunc_str(witness)] == pinned
@@ -305,8 +306,8 @@ def test_shift_law_one_faulty_cell_falls_back_to_trial_replay(monkeypatch, cell)
 def test_shift_law_runs_maps_once_per_table_key(monkeypatch):
     # Keys: the empty list at each k, the unit term at each (beta2, k).
     calls = []
-    fermionic_sum = cli.fermionic_sum
-    monkeypatch.setattr(cli, "fermionic_sum", lambda terms: calls.append(1) or fermionic_sum(terms))
+    fermionic_sum = engine.fermionic_sum
+    monkeypatch.setattr(engine, "fermionic_sum", lambda terms: calls.append(1) or fermionic_sum(terms))
     assert shift_law_record().passed
     keys = (SHIFT_LAW_MAX_SHIFT + 1) * (1 + 13)
     assert len(calls) == 2 * keys == 2 * (7 + 13 * 7)
@@ -343,6 +344,7 @@ def test_huge_q_exponent_exits_two_at_once(capsys, q):
 def test_verify_families_hold_no_grid_list():
     # At 300 x 300 the grid lists would hold 270,000 tuples, about 19 MB.
     cfg = cli.RunConfig("verify", n_max=300, k_max=300)
+    dict(cli._verify_records(cfg))  # the builder's imports load outside the trace
     tracemalloc.start()
     try:
         families = dict(cli._verify_records(cfg))
@@ -351,7 +353,7 @@ def test_verify_families_hold_no_grid_list():
         tracemalloc.stop()
     assert peak < 100_000
     assert next(iter(families["alt_power_sum"])).params == {"k": 1, "n": 2}
-    assert next(iter(families["alt_sum_formula"])) == cli.alt_sum_formula_check(1, 2)
+    assert next(iter(families["alt_sum_formula"])) == classical.alt_sum_formula_check(1, 2)
 
 
 def test_unwritable_out_path_exits_three(capsys):
@@ -401,6 +403,9 @@ def test_bad_degree_cap_exits_two(run_module, value):
         ("limits --nmax 9 --kmax 1", "q_binomial_limit"),
         ("qtable --nmax 2 --kmax 9", "q_power_sum"),
         ("qtable --nmax 9 --kmax 1", "q_binomial"),
+        # Both walks pass the cap here; the binomials' check runs first.
+        ("limits --nmax 9 --kmax 9", "q_binomial_limit"),
+        ("qtable --nmax 9 --kmax 9", "q_binomial"),
         ("verify --nmax 4 --kmax 4", "alt_qsum"),
         ("verify --nmax 9 --kmax 1", "warnaar"),
     ],
@@ -434,8 +439,8 @@ def test_over_cap_limits_trips_before_the_power_sums(monkeypatch, capsys):
     # ends there without one q-power-sum record.  The spy sits where the
     # limits builder looks the check up: at the default cap it sees each cell.
     built = []
-    check = cli._power_sum_limit
-    monkeypatch.setattr(cli, "_power_sum_limit", lambda *args: built.append(args) or check(*args))
+    check = qcore._power_sum_limit
+    monkeypatch.setattr(qcore, "_power_sum_limit", lambda *args: built.append(args) or check(*args))
     monkeypatch.delenv("QGL_MAX_DEGREE", raising=False)
     with cli_state_restored():
         assert run_cli(capsys, ["limits", "--nmax", "3", "--kmax", "3"])[0] == 0
@@ -449,6 +454,27 @@ def test_over_cap_limits_trips_before_the_power_sums(monkeypatch, capsys):
         r"with --nmax 1000 --kmax 1\n",
         err,
     )
+
+
+@pytest.mark.parametrize("command, family", [("limits", "q_power_sum_limit"), ("qtable", "q_power_sum")])
+def test_over_cap_power_sums_build_no_binomial_cell(monkeypatch, capsys, command, family):
+    # Both walks' degree checks run before either walk is drawn, so a grid
+    # whose power sums alone pass the cap ends before the first binomial
+    # cell.  The spy counts the cells drawn from the binomial walk: at the
+    # default cap it sees all 15 of rows 0..4.
+    drawn = []
+    walk = qcore.q_binomial_cells
+    monkeypatch.setattr(qcore, "q_binomial_cells", lambda n: (drawn.append(c) or c for c in walk(n)))
+    monkeypatch.delenv("QGL_MAX_DEGREE", raising=False)
+    argv = [command, "--nmax", "4", "--kmax", "10"]
+    with cli_state_restored():
+        assert run_cli(capsys, argv)[0] == 0
+        assert len(drawn) == 15
+        drawn.clear()
+        monkeypatch.setenv("QGL_MAX_DEGREE", "50")
+        code, out, err = run_cli(capsys, argv)
+    assert (code, out, drawn) == (4, "", [])
+    assert err == f"qgenocchi: degree 54 exceeds QGL_MAX_DEGREE=50 in {family} with --nmax 4 --kmax 10\n"
 
 
 def test_runner_names_the_family_that_trips_the_cap(monkeypatch):
@@ -596,7 +622,7 @@ def test_record_template_matches_the_standard_encoder(recs, command):
 )
 def test_record_template_refuses_what_no_report_holds(rec):
     with pytest.raises(TypeError):
-        cli._record_json(rec)
+        cli._record_json(rec, witness_str)
 
 
 def test_json_report_builds_no_record_dicts(capsys, monkeypatch):

@@ -1,9 +1,12 @@
-"""The CLI's start-up path and the five immutable value types it carries."""
+"""The CLI's start-up path, the lazy package namespace, and the five
+immutable value types the CLI carries."""
 
+import importlib
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -117,6 +120,115 @@ def test_help_still_loads_argparse():
     code, loaded = _main_without_site("--help")
     assert code == "0"
     assert "argparse" in loaded
+
+
+def test_version_loads_no_fractions_and_no_package_module():
+    # The package root defines Convention, so `--version` needs no other module.
+    code, loaded = _main_without_site("--version")
+    assert code == "0"
+    assert not loaded & {"fractions", "decimal"}
+    assert {m for m in loaded if m.startswith("qgenocchi")} == {"qgenocchi", "qgenocchi.cli"}
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        ("numbers --nmax 2", {"engine", "qcore", "series"}),
+        ("limits --nmax 2 --kmax 2", {"engine", "series"}),
+        ("qtable --nmax 2 --kmax 2", {"engine", "series"}),
+        ("verify --nmax 2 --kmax 2", {"series"}),
+    ],
+)
+def test_each_command_loads_only_what_it_runs(argv, unloaded):
+    code, loaded = _main_without_site(*argv.split())
+    assert code == "0"
+    assert not loaded & {f"qgenocchi.{m}" for m in unloaded}
+
+
+# The package's 54 exported names, by the module that defines each: "" is
+# the package root (engine binds both names too), and `poly_gcd` is `poly.gcd`.
+EXPORTS = {
+    "": ["CONVENTIONS", "Convention"],
+    "classical": [
+        "NumberTable", "alt_power_sum", "alt_power_sum_via_euler", "alt_sum_formula_check",
+        "bernoulli_numbers", "euler_numbers", "euler_poly", "faulhaber_sum", "genocchi_numbers",
+        "genocchi_poly", "genocchi_relations_check", "order_r_genocchi", "power_sum",
+    ],
+    "engine": [
+        "ExpTerm", "QGenocchiValue", "alt_qsum", "check_alt_qsum", "check_closed_form_g",
+        "check_closed_form_g_shift", "classical_limit_check", "closed_form_g",
+        "closed_form_g_shift", "coefficient_terms", "fermionic_sum", "merge_terms",
+        "partial_sum", "q_genocchi_number", "q_genocchi_number_shifted", "shift_terms",
+    ],
+    "poly": ["DegreeLimitError", "Poly", "poly_gcd"],
+    "qcore": [
+        "PoleReport", "garrett_hummel_check", "limit_at_one", "q_binomial",
+        "q_binomial_limit_check", "q_integer", "q_power_sum", "q_power_sum_limit_check",
+        "warnaar_check",
+    ],
+    "ratfunc": ["PoleError", "RatFunc", "evaluate_at_q", "monomial_q"],
+    "records": ["FAIL", "PASS", "VerificationRecord", "record_from_difference"],
+    "series": ["Series", "exp_t", "exp_xt"],
+}
+ALL = sorted(chain.from_iterable(EXPORTS.values()))
+
+
+def test_package_exports_the_same_names():
+    assert len(ALL) == 54
+    assert qgenocchi.__all__ == ALL
+
+
+def test_each_export_is_the_defining_modules_object():
+    for module, names in EXPORTS.items():
+        source = importlib.import_module(f"qgenocchi.{module}" if module else "qgenocchi")
+        for name in names:
+            assert getattr(qgenocchi, name) is getattr(source, "gcd" if name == "poly_gcd" else name)
+    assert qgenocchi.engine.Convention is qgenocchi.Convention
+    assert qgenocchi.engine.CONVENTIONS is qgenocchi.CONVENTIONS
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'max_degree'"):
+        qgenocchi.max_degree
+    assert not hasattr(qgenocchi, "no_such_name")
+
+
+# In a fresh interpreter: the package's listed names and the exports it
+# holds before any is used, the names `from qgenocchi import *` binds, and
+# the exports the package holds after.
+NAMESPACE_PROBE = """
+import qgenocchi
+print(" ".join(dir(qgenocchi)))
+print(" ".join(sorted(set(vars(qgenocchi)) & set(qgenocchi.__all__))))
+from qgenocchi import *
+print(" ".join(sorted(k for k in dir() if not k.startswith("__") and k != "qgenocchi")))
+print(" ".join(sorted(set(vars(qgenocchi)) & set(qgenocchi.__all__))))
+"""
+
+
+def _fresh_python(*args: str) -> str:
+    src = str(Path(qgenocchi.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-S", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    ).stdout
+
+
+def test_star_import_and_dir_cover_every_export_in_a_fresh_process():
+    listed, held_before, bound, held_after = _fresh_python("-c", NAMESPACE_PROBE).split("\n")[:4]
+    assert set(ALL) <= set(listed.split())
+    assert held_before.split() == ["CONVENTIONS", "Convention"]  # nothing else loaded yet
+    assert bound.split() == ALL
+    assert held_after.split() == ALL  # each value is kept after its first access
+
+
+def test_engine_imports_first_in_a_fresh_process():
+    # engine takes Convention from the package root, which imports no module.
+    out = _fresh_python("-c", "import qgenocchi.engine as e; print(e.Convention.parse('q2').base_power)")
+    assert out == "2\n"
 
 
 # Each value next to its repr as the former frozen dataclasses printed it.

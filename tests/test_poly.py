@@ -13,9 +13,9 @@ from qgenocchi.poly import (
     _monic_quotient,
     _shifted_sum,
     gcd,
-    max_degree,
     set_max_degree,
 )
+from qgenocchi.cli import max_degree
 from qgenocchi.ratfunc import cyclotomic
 
 small_fracs = st.fractions(

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qgenocchi import cli, engine, poly, qcore, ratfunc
 from qgenocchi.engine import Convention
-from qgenocchi.poly import DEFAULT_MAX_DEGREE, ONE, DegreeLimitError, Poly, max_degree
+from qgenocchi.poly import DEFAULT_MAX_DEGREE, ONE, DegreeLimitError, Poly
 from qgenocchi.qcore import (
     PoleReport,
     garrett_hummel_check,
@@ -358,7 +358,7 @@ def test_q_binomial_matches_ratio_product():
 def test_q_binomial_narrow_cell_of_wide_row():
     # [150, 2] has x-degree 592; the middle cell of row 150 has 11250, above
     # the default degree cap, so only the columns up to min(k, n - k) are built.
-    assert max_degree() == DEFAULT_MAX_DEGREE
+    assert poly._cap == DEFAULT_MAX_DEGREE  # the cap in force; the library reads no environment
     for k in (2, 148):
         f = q_binomial(150, k)
         assert f.num.degree == 592
@@ -374,10 +374,14 @@ def test_grid_cells_match_single_cells():
     assert list(q_power_sum_cells(3, 5)) == [
         (m, n, q_power_sum(m, n).num) for m in range(1, 4) for n in range(1, 6)
     ]
-    # limits maps its checks over the same walks, binomial rows first.
-    (_, binomials), (_, power_sums) = cli._SUBCOMMANDS["limits"].families(
+    # limits maps its checks over the same walks, binomial rows first, after
+    # both walks' degree checks, each an empty family of its walk's name.
+    *checks, (_, binomials), (_, power_sums) = cli._SUBCOMMANDS["limits"].families(
         cli.RunConfig("limits", n_max=3, k_max=5)
     )
+    assert [(name, list(family)) for name, family in checks] == [
+        ("q_binomial_limit", []), ("q_power_sum_limit", [])
+    ]
     assert list(binomials) == [
         q_binomial_limit_check(n, k) for n in range(4) for k in range(n + 1)
     ]

@@ -7,12 +7,13 @@ the full identity grid.  Reports are emitted as JSON or CSV, to stdout or
 a file, and identical configurations always produce byte-identical output.
 
 Exit codes: 0 when every hard identity in the run passed, 1 when any hard
-identity failed, 2 for bad flags (a flag the subcommand does not read, a
-`--flag=--` word, a grid bound below 1, or `numbers --nmax` above
-NUMBERS_MAX_N) or a bad QGL_MAX_DEGREE, 3 for an I/O failure while writing
-the report (a closed stdout included), 4 when a polynomial outgrew the
-QGL_MAX_DEGREE cap during the run.  With fd 2 closed the codes still hold
-and nothing is written to stdout.  Report-only identities (the printed
+identity failed, 2 for a refused command line (an unknown flag, a flag
+without a value such as `--flag=--`, a bad value, a grid bound below 1, or
+`numbers --nmax` above NUMBERS_MAX_N) or a bad QGL_MAX_DEGREE, 3 for an I/O
+failure while writing the report (a closed stdout included), 4 when a
+polynomial outgrew the QGL_MAX_DEGREE cap.  Codes 2 to 4 write one stderr
+line, `qgenocchi: error: ...` for a refused line; with fd 2 closed they
+still hold and nothing goes to stdout.  Report-only identities (the printed
 closed forms and the classical-limit comparisons) never affect the exit code.
 """
 
@@ -22,17 +23,15 @@ import io
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from contextlib import redirect_stderr, suppress
+from contextlib import suppress
 from functools import partial
 from itertools import chain, product, repeat, starmap
 from typing import TYPE_CHECKING, NamedTuple, NoReturn
 
 from . import CONVENTIONS, Convention, __version__
 
-# Each function imports the package modules it calls, so a command loads
-# only what it runs; argparse loads only for --help, refusals and unusual lines.
+# Each function imports the package modules it calls: a command loads only what it runs.
 if TYPE_CHECKING:
-    import argparse
     from fractions import Fraction
 
     from .engine import ExpTerm
@@ -248,7 +247,7 @@ def _limits_records(cfg: RunConfig) -> Iterator[tuple[str, Iterable[Verification
 
 class _Subcommand(NamedTuple):
     help: str
-    flags: tuple[str, ...]  # the grid flags its builder reads
+    flags: tuple[str, ...]  # the grid flags its builder reads, then --format and --out
     families: Callable[[RunConfig], Iterable[tuple[str, Iterable[VerificationRecord]]]]
     csv_columns: tuple[str, ...]
     q_columns: tuple[str, ...] = ()  # CSV columns only a run with --q has
@@ -261,26 +260,26 @@ class _Subcommand(NamedTuple):
 _SUBCOMMANDS = {
     "numbers": _Subcommand(
         "classical Bernoulli/Euler/Genocchi tables",
-        ("--nmax",),
+        ("--nmax", "--format", "--out"),
         _numbers_records,
         ("identity", "index", "value"),
     ),
     "qtable": _Subcommand(
         "q-binomial and q-power-sum tables",
-        ("--nmax", "--kmax", "--q"),
+        ("--nmax", "--kmax", "--q", "--format", "--out"),
         _qtable_records,
         ("identity", "params", "value"),
         ("value_at_q",),
     ),
     "verify": _Subcommand(
         "run the full identity grid",
-        ("--nmax", "--kmax", "--convention"),
+        ("--nmax", "--kmax", "--convention", "--format", "--out"),
         _verify_records,
         ("identity", "params", "convention", "status", "witness"),
     ),
     "limits": _Subcommand(
         "q -> 1 limit checks with pole flags",
-        ("--nmax", "--kmax"),
+        ("--nmax", "--kmax", "--format", "--out"),
         _limits_records,
         ("identity", "params", "limit", "classical", "status"),
     ),
@@ -454,94 +453,104 @@ def _q_value(text: str) -> Fraction:
             return q
     except (ValueError, ZeroDivisionError):
         pass
-    import argparse  # only a refused value needs it
-    raise argparse.ArgumentTypeError(f"{error}: {text!r}")
+    raise ValueError(f"{error}: {text!r}")
 
 
-def _conventions(text: str) -> tuple[Convention, ...]:
-    try:
-        return CONVENTIONS if text == "all" else (Convention.parse(text),)
-    except ValueError as exc:
-        import argparse  # only a refused value needs it
-        raise argparse.ArgumentTypeError(f"not one of q, q2, all: {text!r}") from exc
-
-
-# Each flag once, as its `add_argument` keywords; dest is the RunConfig field.
-# A subcommand takes the grid flags its entry above lists, then the
-# _REPORT_FLAGS; a field no flag of the subcommand sets keeps its default.
+# Each flag once: the RunConfig field it sets, its reader (a function that
+# raises ValueError on a refused value, or a dict of the values it takes),
+# and its `--help` metavar and line.
 _FLAGS = {
-    "--nmax": dict(dest="n_max", type=int, metavar="NMAX", help="first grid bound"),
-    "--kmax": dict(dest="k_max", type=int, metavar="KMAX", help="second grid bound"),
-    "--q": dict(dest="q_eval", type=_q_value, metavar="P/Q",
-                help="rational sample point in (0,1) for table evaluation"),
-    "--convention": dict(dest="conventions", type=_conventions, metavar="{q,q2,all}",
-                         help="bracket base in the exponent"),
-    "--format": dict(dest="format", choices=("csv", "json")),
-    "--out": dict(dest="out_path", metavar="OUT", help="report path (default stdout)"),
+    "--nmax": ("n_max", int, "NMAX", "first grid bound (default 8)"),
+    "--kmax": ("k_max", int, "KMAX", "second grid bound (default 8)"),
+    "--q": ("q_eval", _q_value, "P/Q", "rational sample point in (0,1) for table evaluation"),
+    "--convention": ("conventions", dict(q=(Convention.Q,), q2=(Convention.Q2,), all=CONVENTIONS),
+                     "{q,q2,all}", "bracket base in the exponent (default all)"),
+    "--format": ("format", dict(csv="csv", json="json"), "{csv,json}", "report format (default json)"),
+    "--out": ("out_path", str, "OUT", "report path (default stdout)"),
 }
-_REPORT_FLAGS = ("--format", "--out")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    import argparse
-    parser = argparse.ArgumentParser(
-        prog="qgenocchi",
-        description="Exact q-Genocchi constructions and identity verification.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, subcommand in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=subcommand.help)
-        p.set_defaults(**RunConfig._field_defaults)
-        for option in (*subcommand.flags, *_REPORT_FLAGS):
-            p.add_argument(option, **_FLAGS[option])
-    return parser
+def _help(command: str | None) -> str:
+    """The `--help` text of the program, or of one subcommand."""
+    if command is None:
+        usage = "[--version] {" + ",".join(_SUBCOMMANDS) + "} ..."
+        about = "Exact q-Genocchi constructions and identity verification."
+        rows = [(name, sub.help) for name, sub in _SUBCOMMANDS.items()]
+        rows.append(("--version", "print the version"))
+    else:
+        usage, about = f"{command} [--FLAG VALUE ...]", _SUBCOMMANDS[command].help
+        rows = [(f"{flag} {_FLAGS[flag][2]}", _FLAGS[flag][3]) for flag in _SUBCOMMANDS[command].flags]
+    rows.append(("-h, --help", "print this help"))
+    return f"usage: qgenocchi {usage}\n\n{about}\n\n" + "".join(f"  {a:25}{b}\n" for a, b in rows)
 
 
-def _refusal(cfg: RunConfig) -> str | None:
-    """The range checks' message for a config they refuse, else None."""
-    if cfg.n_max < 1 or cfg.k_max < 1:
-        return "--nmax and --kmax must be >= 1"
-    if cfg.command == "numbers" and cfg.n_max > NUMBERS_MAX_N:
-        return f"numbers --nmax {cfg.n_max} exceeds the cap of {NUMBERS_MAX_N}"
-    return None
+def _flag(word: str, options: tuple[str, ...]) -> str | None:
+    """The option a flag word names by its part before any "=", in full or as
+    a unique prefix, or "" for none.  None for a value: a word not led by "-",
+    "-" alone, a negative number, or one with a space that names no option."""
+    name = word.partition("=")[0]
+    found = [name] if name in options else [o for o in options if o.startswith(name)]
+    flag = found[0] if len(found) == 1 else ""
+    number = word[1:].replace(".", "", 1).isdecimal() and word[-1] != "."  # -3, -3.5, -.5
+    if word[:1] != "-" or word == "-" or number or (" " in word and not flag):
+        return None
+    return flag
 
 
-def config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
-    for flag, spec in _FLAGS.items():
-        # `--flag=--` arrives as [] where argparse strips the `--` (CPython
-        # 3.11) and as "--" where it keeps it; no other line gives either.
-        if getattr(args, spec["dest"]) in ([], "--"):
-            parser.error(f"argument {flag}: expected one argument")
-    cfg = RunConfig(**vars(args))
-    if refusal := _refusal(cfg):
-        parser.error(refusal)
-    return cfg
+def _refuse(message: str) -> NoReturn:
+    _complain(f"error: {message}")
+    raise SystemExit(2)
 
 
-def _fast_config(argv: list[str]) -> RunConfig | None:
-    """The RunConfig argparse gives for `SUBCOMMAND (--flag VALUE)*`, read
-    without argparse, or None.  A line is read here only when each flag is
-    one the subcommand takes, in full and once, each value is non-empty, does
-    not start with "-" and passes the flag's type and choices, and the config
-    passes the range checks.  argparse reads every other line, and it alone
-    prints usage and errors."""
-    command, pairs = argv[0] if argv else "", dict(zip(argv[1::2], argv[2::2]))
-    if command not in _SUBCOMMANDS or 2 * len(pairs) != len(argv) - 1:
-        return None  # not a subcommand, a lone word, or a repeated flag
-    fields = {}
-    for flag, text in pairs.items():
-        if flag not in (*_SUBCOMMANDS[command].flags, *_REPORT_FLAGS) or text[:1] in ("", "-"):
-            return None
-        spec = _FLAGS[flag]
-        try:
-            fields[spec["dest"]] = value = spec.get("type", str)(text)
-        except Exception:  # argparse runs the type again and reports the failure
-            return None
-        if value not in spec.get("choices", (value,)):
-            return None
+def _parse(argv: list[str]) -> RunConfig:
+    """The RunConfig of a report line, read as the README's "CLI" section
+    says.  `-h`/`--help` and `--version` print their text and raise
+    SystemExit(0) where they stand; any other line is refused with one
+    stderr line `qgenocchi: error: ...` and SystemExit(2)."""
+    cut = argv.index("--") if "--" in argv else len(argv)  # no word after it is read
+    # `--=x` names every flag: it is refused before any flag acts, -h included.
+    if ambiguous := [word for word in argv[:cut] if word.startswith("--=")]:
+        _refuse(f"ambiguous option: {ambiguous[0]}")
+    command, fields, extras, options = None, {}, [], ("-h", "--help", "--version")
+    words = iter(argv[:cut])
+    for word in words:
+        flag = _flag(word, options)
+        _, eq, text = word.partition("=")
+        if flag is None and command is None:
+            if word not in _SUBCOMMANDS:
+                _refuse(f"invalid command {word!r}: choose from {', '.join(_SUBCOMMANDS)}")
+            command, options = word, ("-h", "--help", *_SUBCOMMANDS[word].flags)
+        elif not flag:  # a word after the command, or an unknown flag
+            extras.append(word)
+        elif flag not in _FLAGS:  # -h, --help or --version
+            if eq:
+                _refuse(f"argument {flag}: takes no value")
+            page = __version__ + "\n" if flag == "--version" else _help(command)
+            with suppress(AttributeError, OSError):  # to stderr when fd 1 is closed
+                (sys.stdout or sys.stderr).write(page)
+            raise SystemExit(0)
+        else:
+            field, read = _FLAGS[flag][:2]
+            text = text if eq else next(words, "--")
+            if text == "--" or not eq and _flag(text, options) is not None:
+                _refuse(f"argument {flag}: expected one argument")
+            try:
+                fields[field] = read[text] if type(read) is dict else read(text)
+            except KeyError:
+                _refuse(f"argument {flag}: not one of {', '.join(read)}: {text!r}")
+            except ValueError as exc:  # int's own text names int(), not the flag
+                why = f"invalid int value: {text!r}" if read is int else exc
+                _refuse(f"argument {flag}: {why}")
+    if command is None:
+        _refuse(f"a command is required: choose from {', '.join(_SUBCOMMANDS)}")
+    if extras := extras + argv[cut:]:
+        _refuse(f"unrecognized arguments: {' '.join(extras)}")
     cfg = RunConfig(command, **fields)
-    return None if _refusal(cfg) else cfg
+    if cfg.n_max < 1 or cfg.k_max < 1:
+        _refuse("--nmax and --kmax must be >= 1")
+    if command == "numbers" and cfg.n_max > NUMBERS_MAX_N:
+        _refuse(f"numbers --nmax {cfg.n_max} exceeds the cap of {NUMBERS_MAX_N}")
+    return cfg
 
 
 def _write_report(text: str, out_path: str | None) -> None:
@@ -597,17 +606,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         _complain(str(exc))
         return 2
-    argv = sys.argv[1:] if argv is None else list(argv)
-    if argv == ["--version"]:  # argparse's version action, without argparse
-        with suppress(AttributeError, OSError):  # as argparse's _print_message
-            (sys.stdout or sys.stderr).write(__version__ + "\n")
-        raise SystemExit(0)
-    cfg = _fast_config(argv)
-    if cfg is None:  # --help, a refusal or another shape
-        # With sys.stderr None (fd 2 closed), argparse prints usage to stdout.
-        with redirect_stderr(sys.stderr or io.StringIO()):
-            parser = build_parser()
-            cfg = config_from_args(parser.parse_args(argv), parser)
+    cfg = _parse(sys.argv[1:] if argv is None else list(argv))
     from .poly import DegreeLimitError, set_max_degree  # past --version, --help and refusals
 
     set_max_degree(cap)
@@ -632,14 +631,14 @@ def main(argv: list[str] | None = None) -> int:
 def run(argv: list[str] | None = None) -> NoReturn:
     """Process entry of `python -m qgenocchi` and the console script: `main`,
     then a flush of stdout and stderr and `os._exit` with main's code, also
-    when argparse exits.  Ending the process here skips the interpreter's
+    when `_parse` exits.  Ending the process here skips the interpreter's
     finalization and `atexit` hooks; the package registers none, and the
     `--out` file is closed inside `main`.  If a flush fails, `sys.exit` ends
     the process, so the interpreter reports the failure.  `main`, the
     in-process API, never ends the process and guards a closed fd 2 itself."""
     try:
         code = main(argv)
-    except SystemExit as exc:  # argparse: --version, --help, bad flags
+    except SystemExit as exc:  # _parse: --version, --help, a refused line
         code = exc.code
     try:
         for stream in (sys.stdout, sys.stderr):

@@ -83,7 +83,7 @@ sys.stdout = sys.__stdout__
 print(code, " ".join(sorted(sys.modules)))
 """
 
-# What `import argparse` and its first parser load.
+# What `import argparse` and a first parser load.
 ARGPARSE_MODULES = {"argparse", "gettext", "locale", "textwrap"}
 
 
@@ -109,17 +109,20 @@ def test_report_run_without_site_imports_no_json_csv_or_random():
     assert not loaded & {"json", "csv", "random"}
 
 
-@pytest.mark.parametrize("argv", ["--version", "verify --nmax 2 --kmax 2"])
+@pytest.mark.parametrize(
+    "argv", ["--version", "verify --nmax 2 --kmax 2", "numbers --nmax=3", "numbers --nm 3"]
+)
 def test_well_formed_line_loads_no_argparse(argv):
     code, loaded = _main_without_site(*argv.split())
     assert code == "0"
     assert not loaded & ARGPARSE_MODULES
 
 
-def test_help_still_loads_argparse():
-    code, loaded = _main_without_site("--help")
-    assert code == "0"
-    assert "argparse" in loaded
+@pytest.mark.parametrize("argv, code", [("--help", "0"), ("numbers --kmax 2", "2")])
+def test_help_and_refusal_load_no_argparse(argv, code):
+    got, loaded = _main_without_site(*argv.split())
+    assert got == code
+    assert not loaded & ARGPARSE_MODULES
 
 
 def test_version_loads_no_fractions_and_no_package_module():

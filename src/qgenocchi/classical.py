@@ -260,6 +260,12 @@ def faulhaber_sum(n: int, k: int) -> Fraction:
     return total / (n + 1)
 
 
+def _faulhaber_check(n: int, k: int) -> VerificationRecord:
+    """Eq. (3) at power n: the closed form against the direct sum of k - 1 powers."""
+    difference = faulhaber_sum(n, k) - power_sum(n, k - 1)
+    return record_from_difference("faulhaber", {"k": k, "n": n}, difference)
+
+
 def alt_power_sum(k: int, n: int) -> Fraction:
     """-1**k + 2**k - 3**k + ... + (-1)**(n-1) * (n-1)**k by direct summation."""
     _require(k >= 1, "power k must be >= 1")
@@ -277,6 +283,12 @@ def alt_power_sum_via_euler(k: int, n: int) -> Fraction:
     _require(n >= 2, "n must be >= 2")
     value = -euler_poly(k, Fraction(1)) - (-1) ** n * euler_poly(k, Fraction(n))
     return value / 2
+
+
+def _alt_power_sum_check(k: int, n: int) -> VerificationRecord:
+    """The alternating sum through Euler polynomial values against the direct sum."""
+    via_euler = alt_power_sum_via_euler(k, n)
+    return record_from_difference("alt_power_sum", {"k": k, "n": n}, via_euler - alt_power_sum(k, n))
 
 
 def euler_alt_formula(n: int, k: int) -> Fraction:

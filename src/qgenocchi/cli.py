@@ -37,23 +37,6 @@ if TYPE_CHECKING:
     from .engine import ExpTerm
     from .records import VerificationRecord
 
-# Which identities gate the exit code.  This split is configuration data:
-# promoting a corrected closed form to hard is an edit here, not in the
-# runner.  Everything absent from this set is report-only.
-HARD_IDENTITIES = frozenset(
-    {
-        "genocchi_relations",
-        "warnaar",
-        "garrett_hummel",
-        "faulhaber",
-        "alt_power_sum",
-        "alt_qsum",
-        "shift_law",
-        "q_power_sum_limit",
-        "q_binomial_limit",
-    }
-)
-
 SHIFT_LAW_TRIALS = 200
 SHIFT_LAW_MAX_SHIFT = 6
 SHIFT_LAW_SEED = 271828
@@ -82,66 +65,6 @@ class RunConfig(NamedTuple):
         fields["conventions"] = [c.value for c in self.conventions]
         fields["q_eval"] = str(self.q_eval) if self.q_eval is not None else None
         return fields
-
-
-def _numbers_records(cfg: RunConfig) -> Iterator[tuple[str, Iterable[VerificationRecord]]]:
-    from .classical import bernoulli_numbers, euler_numbers, genocchi_numbers, order_r_genocchi
-    from .records import VerificationRecord
-
-    for table in (
-        bernoulli_numbers(cfg.n_max),
-        euler_numbers(cfg.n_max),
-        genocchi_numbers(cfg.n_max),
-        order_r_genocchi(2, cfg.n_max),
-    ):
-        yield table.kind, (
-            VerificationRecord(table.kind, {"n": i}, details={"value": str(value)})
-            for i, value in enumerate(table)
-        )
-
-
-def _walk_families(
-    cfg: RunConfig, binomial: tuple[str, Callable], power_sum: tuple[str, Callable]
-) -> Iterator[tuple[str, Iterable[VerificationRecord]]]:
-    """The families of qtable and limits, each an (identity, record of one
-    cell) pair mapped over its qcore walk, the q-binomials first.  A walk
-    checks the degree cap when it is made, so each is first made and
-    dropped inside an empty family of its identity: an over-cap grid
-    builds no cell of either walk, and the runner names the walk that trips."""
-    from .qcore import q_binomial_cells, q_power_sum_cells
-
-    def checked(make: Callable[[], Iterator]) -> Iterator:
-        make()
-        yield from ()
-
-    binomials = (*binomial, partial(q_binomial_cells, cfg.n_max))
-    walks = (binomials, (*power_sum, partial(q_power_sum_cells, cfg.n_max, cfg.k_max)))
-    for identity, _, make in walks:
-        yield identity, checked(make)
-    for identity, record, make in walks:
-        yield identity, starmap(record, make())
-
-
-def _qtable_records(cfg: RunConfig) -> Iterator[tuple[str, Iterable[VerificationRecord]]]:
-    from .ratfunc import RatFunc, evaluate_at_q
-    from .records import VerificationRecord, ratfunc_str
-
-    def table(identity: str, names: tuple[str, str]) -> tuple[str, Callable]:
-        def record(*cell) -> VerificationRecord:
-            *index, f = cell
-            value = RatFunc(f)
-            details = {"value": ratfunc_str(value)}
-            if cfg.q_eval is not None:
-                try:
-                    at_q = evaluate_at_q(value, cfg.q_eval)
-                except ValueError:  # a half-integer power of q at a non-square q
-                    at_q = "REQUIRES-SQUARE-Q"
-                details["value_at_q"] = str(at_q)
-            return VerificationRecord(identity, dict(zip(names, index)), details=details)
-
-        return identity, record
-
-    return _walk_families(cfg, table("q_binomial", ("n", "k")), table("q_power_sum", ("m", "n")))
 
 
 def _draw_trial(rng) -> tuple[tuple[ExpTerm, ...], int]:
@@ -198,107 +121,168 @@ def shift_law_record() -> VerificationRecord:
     )
 
 
-def _verify_records(cfg: RunConfig) -> Iterator[tuple[str, Iterable[VerificationRecord]]]:
-    from .classical import (
-        alt_power_sum, alt_power_sum_via_euler, alt_sum_formula_check, faulhaber_sum, power_sum
-    )
-    from .engine import (
-        check_alt_qsum, check_closed_form_g, check_closed_form_g_shift, classical_limit_check
-    )
-    from .qcore import garrett_hummel_check, warnaar_check
-    from .records import record_from_difference
+def _from(module: str):
+    """A package module, imported when a family first calls into it
+    (`fromlist` makes `__import__` return the module, not the package)."""
+    return __import__(f"{__package__}.{module}", fromlist=("_",))
 
+
+class _Family(NamedTuple):
+    identity: str
+    hard: bool  # whether a FAIL in it fails the run
+    records: Callable[[RunConfig], Iterable[VerificationRecord]]  # lazy; drawn in table order
+    plan: Callable[[RunConfig], object] | None = None  # run before any family is drawn
+
+
+def _each(check: str, grid: Callable[[RunConfig], Iterable[tuple]]) -> Callable:
+    """The records of `check`, a "module.name" looked up when the family is
+    drawn, at each argument tuple of `grid(cfg)`."""
+    module, _, name = check.partition(".")
+    return lambda cfg: starmap(getattr(_from(module), name), grid(cfg))
+
+
+def _numbers(make: str, *args: int) -> Callable:
+    """The records of the classical table `make(*args, --nmax)`, one per index."""
+
+    def records(cfg: RunConfig) -> Iterator[VerificationRecord]:
+        table = getattr(_from("classical"), make)(*args, cfg.n_max)
+        record = _from("records").VerificationRecord
+        return (record(table.kind, {"n": i}, details={"value": str(v)}) for i, v in enumerate(table))
+
+    return records
+
+
+def _binomials(cfg: RunConfig) -> Iterator[tuple]:
+    return _from("qcore").q_binomial_cells(cfg.n_max)
+
+
+def _power_sums(cfg: RunConfig) -> Iterator[tuple]:
+    return _from("qcore").q_power_sum_cells(cfg.n_max, cfg.k_max)
+
+
+def _qtable(identity: str, names: tuple[str, str], walk: Callable[[RunConfig], Iterator]) -> _Family:
+    """A qtable family: a record of each cell of the walk, with its value
+    and, under --q, its value there.  Its plan is the walk."""
+
+    def records(cfg: RunConfig) -> Iterator[VerificationRecord]:
+        from .ratfunc import RatFunc, evaluate_at_q
+        from .records import VerificationRecord, ratfunc_str
+
+        def record(*cell) -> VerificationRecord:
+            *index, f = cell
+            value = RatFunc(f)
+            details = {"value": ratfunc_str(value)}
+            if cfg.q_eval is not None:
+                try:
+                    at_q = evaluate_at_q(value, cfg.q_eval)
+                except ValueError:  # a half-integer power of q at a non-square q
+                    at_q = "REQUIRES-SQUARE-Q"
+                details["value_at_q"] = str(at_q)
+            return VerificationRecord(identity, dict(zip(names, index)), details=details)
+
+        return starmap(record, walk(cfg))
+
+    return _Family(identity, False, records, walk)
+
+
+# The argument tuples of the verify checks.  Each family draws its own lazy grid.
+def _rows(cfg: RunConfig) -> Iterator[tuple[int]]:
+    return zip(range(1, cfg.n_max + 1))
+
+
+def _pairs(cfg: RunConfig, low: int = 2) -> Iterator[tuple[int, int]]:
+    """(a, b) for 1 <= a <= --nmax and low <= b <= --kmax."""
+    return product(range(1, cfg.n_max + 1), range(low, cfg.k_max + 1))
+
+
+def _cells(cfg: RunConfig) -> Iterator[tuple[int, int, Convention]]:
     ns, ks = range(1, cfg.n_max + 1), range(1, cfg.k_max + 1)
-    pairs = partial(product, ns, ks[1:])  # each family draws its own lazy grid of (k, n)
-
-    def cells() -> Iterator[tuple[int, int, Convention]]:
-        return ((n, k, conv) for conv in cfg.conventions for n in ns for k in ks)
-
-    yield "warnaar", map(warnaar_check, ns)
-    yield "garrett_hummel", map(garrett_hummel_check, ns)
-    yield "faulhaber", (
-        record_from_difference(
-            "faulhaber", {"k": k, "n": n}, faulhaber_sum(n, k) - power_sum(n, k - 1)
-        )
-        for n in ns for k in ks
-    )
-    yield "alt_power_sum", (
-        record_from_difference(
-            "alt_power_sum", {"k": k, "n": n}, alt_power_sum_via_euler(k, n) - alt_power_sum(k, n)
-        )
-        for k, n in pairs()
-    )
-    yield "alt_sum_formula", starmap(alt_sum_formula_check, pairs())
-    yield "alt_sum_formula_transposed", (alt_sum_formula_check(k, n, True) for k, n in pairs())
-    yield "alt_qsum", starmap(check_alt_qsum, cells())
-    yield "closed_form_g", starmap(check_closed_form_g, cells())
-    yield "closed_form_g_shift", starmap(check_closed_form_g_shift, cells())
-    yield "classical_limit", chain.from_iterable(starmap(classical_limit_check, cells()))
-    yield "shift_law", (shift_law_record() for _ in range(1))  # one record
-
-
-def _limits_records(cfg: RunConfig) -> Iterator[tuple[str, Iterable[VerificationRecord]]]:
-    from .qcore import _binomial_limit, _power_sum_limit
-
-    return _walk_families(
-        cfg, ("q_binomial_limit", _binomial_limit), ("q_power_sum_limit", _power_sum_limit)
-    )
+    return ((n, k, conv) for conv in cfg.conventions for n in ns for k in ks)
 
 
 class _Subcommand(NamedTuple):
     help: str
-    flags: tuple[str, ...]  # the grid flags its builder reads, then --format and --out
-    families: Callable[[RunConfig], Iterable[tuple[str, Iterable[VerificationRecord]]]]
+    flags: tuple[str, ...]  # the grid flags its families read, then --format and --out
+    families: tuple[_Family, ...]
     csv_columns: tuple[str, ...]
     q_columns: tuple[str, ...] = ()  # CSV columns only a run with --q has
 
 
-# The subcommands in `--help` order.  A builder yields lazy (identity,
-# records) families, each drawn before the next is made, and imports what
-# it calls from the defining module at call time, so a wrapper set there
-# (perfbench's tracer) sees it.  limits maps its checks over qtable's walks.
+# The subcommands in `--help` order, each with its families in the order
+# they are drawn.  limits maps its checks over qtable's two walks.
 _SUBCOMMANDS = {
     "numbers": _Subcommand(
         "classical Bernoulli/Euler/Genocchi tables",
         ("--nmax", "--format", "--out"),
-        _numbers_records,
+        (
+            _Family("B", False, _numbers("bernoulli_numbers")),
+            _Family("E", False, _numbers("euler_numbers")),
+            _Family("G", False, _numbers("genocchi_numbers")),
+            _Family("G^(2)", False, _numbers("order_r_genocchi", 2)),
+        ),
         ("identity", "index", "value"),
     ),
     "qtable": _Subcommand(
         "q-binomial and q-power-sum tables",
         ("--nmax", "--kmax", "--q", "--format", "--out"),
-        _qtable_records,
+        (_qtable("q_binomial", ("n", "k"), _binomials), _qtable("q_power_sum", ("m", "n"), _power_sums)),
         ("identity", "params", "value"),
         ("value_at_q",),
     ),
     "verify": _Subcommand(
         "run the full identity grid",
         ("--nmax", "--kmax", "--convention", "--format", "--out"),
-        _verify_records,
+        (
+            _Family("warnaar", True, _each("qcore.warnaar_check", _rows)),
+            _Family("garrett_hummel", True, _each("qcore.garrett_hummel_check", _rows)),
+            _Family("faulhaber", True, _each("classical._faulhaber_check", partial(_pairs, low=1))),
+            _Family("alt_power_sum", True, _each("classical._alt_power_sum_check", _pairs)),
+            _Family("alt_sum_formula", False, _each("classical.alt_sum_formula_check", _pairs)),
+            _Family("alt_sum_formula_transposed", False, _each(
+                "classical.alt_sum_formula_check", lambda cfg: ((*p, True) for p in _pairs(cfg)))),
+            _Family("alt_qsum", True, _each("engine.check_alt_qsum", _cells)),
+            _Family("closed_form_g", False, _each("engine.check_closed_form_g", _cells)),
+            _Family("closed_form_g_shift", False, _each("engine.check_closed_form_g_shift", _cells)),
+            _Family("classical_limit", False, lambda cfg: chain.from_iterable(
+                _each("engine.classical_limit_check", _cells)(cfg))),
+            _Family("shift_law", True, lambda cfg: starmap(shift_law_record, [()])),  # one record
+        ),
         ("identity", "params", "convention", "status", "witness"),
     ),
     "limits": _Subcommand(
         "q -> 1 limit checks with pole flags",
         ("--nmax", "--kmax", "--format", "--out"),
-        _limits_records,
+        (
+            _Family("q_binomial_limit", True, _each("qcore._binomial_limit", _binomials), _binomials),
+            _Family("q_power_sum_limit", True, _each("qcore._power_sum_limit", _power_sums), _power_sums),
+        ),
         ("identity", "params", "limit", "classical", "status"),
     ),
 }
 
+# The identities that gate the exit code: the table's `hard` column.
+HARD_IDENTITIES = frozenset(f.identity for sub in _SUBCOMMANDS.values() for f in sub.families if f.hard)
+
 
 def build_report(cfg: RunConfig) -> dict:
     """The report of one run: version, config (a dict), records (the sorted
-    `VerificationRecord`s) and summary (PASS and FAIL counts per identity)."""
+    `VerificationRecord`s) and summary (PASS and FAIL counts per identity).
+    Every plan runs before any family is drawn; a cap that trips names the family."""
     from .poly import DegreeLimitError
     from .records import VerificationRecord
 
     records: list[VerificationRecord] = []
-    for identity, family in _SUBCOMMANDS[cfg.command].families(cfg):
-        try:
-            records.extend(family)
-        except DegreeLimitError as exc:
-            where = f"in {identity} with --nmax {cfg.n_max} --kmax {cfg.k_max}"
-            raise DegreeLimitError(f"{exc} {where}") from exc
+    families = _SUBCOMMANDS[cfg.command].families
+    for drawing in (False, True):
+        for family in families:
+            try:
+                if drawing:
+                    records.extend(family.records(cfg))
+                elif family.plan:
+                    family.plan(cfg)
+            except DegreeLimitError as exc:
+                where = f"in {family.identity} with --nmax {cfg.n_max} --kmax {cfg.k_max}"
+                raise DegreeLimitError(f"{exc} {where}") from exc
     records.sort(key=VerificationRecord.sort_key)
     summary: dict[str, dict[str, int]] = {}
     for rec in records:

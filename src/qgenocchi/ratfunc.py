@@ -213,6 +213,8 @@ def monomial_q(a: int) -> RatFunc:
 @lru_cache(maxsize=None)
 def cyclotomic(d: int) -> Poly:
     """The d-th cyclotomic polynomial, from x**d - 1 = prod_{e | d} Phi_e."""
+    if d < 1:
+        raise ValueError("cyclotomic index must be >= 1")
     divisors = tuple((e, 1) for e in cyclotomic_indices(d, -1)[:-1])
     return (Poly.monomial(d) - 1) // _cyclotomic_product(divisors)
 

@@ -341,10 +341,11 @@ def test_huge_q_exponent_exits_two_at_once(capsys, q):
 def test_verify_families_hold_no_grid_list():
     # At 300 x 300 the grid lists would hold 270,000 tuples, about 19 MB.
     cfg = cli.RunConfig("verify", n_max=300, k_max=300)
-    dict(cli._verify_records(cfg))  # the builder's imports load outside the trace
+    table = cli._SUBCOMMANDS["verify"].families
+    [family.records(cfg) for family in table]  # the families' imports load outside the trace
     tracemalloc.start()
     try:
-        families = dict(cli._verify_records(cfg))
+        families = {family.identity: family.records(cfg) for family in table}
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -476,20 +477,23 @@ def test_over_cap_power_sums_build_no_binomial_cell(monkeypatch, capsys, command
 
 def test_runner_names_the_family_that_trips_the_cap(monkeypatch):
     # The second family raises after one record: build_report re-raises
-    # with that family's name and the grid flags, whatever the builder is.
+    # with that family's name and the grid flags, whatever the family is.
     drawn = []
 
-    def second():
+    def second(cfg):
         drawn.append("second")
         yield VerificationRecord("second", {"n": 1})
         raise DegreeLimitError("degree 31 exceeds QGL_MAX_DEGREE=30")
 
-    def families(cfg):
-        yield "first", iter([VerificationRecord("first", {"n": 1})])
-        yield "second", second()
+    def third(cfg):
         drawn.append("third")
-        yield "third", iter([])
+        return iter([])
 
+    families = (
+        cli._Family("first", False, lambda cfg: iter([VerificationRecord("first", {"n": 1})])),
+        cli._Family("second", False, second),
+        cli._Family("third", False, third),
+    )
     stub = cli._SUBCOMMANDS["verify"]._replace(families=families)
     monkeypatch.setitem(cli._SUBCOMMANDS, "verify", stub)
     cfg = cli._parse(["verify", "--nmax", "3", "--kmax", "2"])
@@ -497,6 +501,44 @@ def test_runner_names_the_family_that_trips_the_cap(monkeypatch):
         cli.build_report(cfg)
     assert str(info.value) == "degree 31 exceeds QGL_MAX_DEGREE=30 in second with --nmax 3 --kmax 2"
     assert drawn == ["second"]
+
+
+def test_every_plan_runs_before_any_family_is_drawn(monkeypatch):
+    # The last family's plan trips the cap: no family's records are made,
+    # and the message names the family whose plan tripped.
+    called = []
+
+    def records(cfg):
+        called.append("records")
+        return iter([])
+
+    def plan(cfg):
+        called.append("plan")
+
+    def tripping_plan(cfg):
+        raise DegreeLimitError("degree 40 exceeds QGL_MAX_DEGREE=30")
+
+    families = (
+        cli._Family("first", True, records, plan),
+        cli._Family("second", False, records),
+        cli._Family("planned", False, records, tripping_plan),
+    )
+    stub = cli._SUBCOMMANDS["limits"]._replace(families=families)
+    monkeypatch.setitem(cli._SUBCOMMANDS, "limits", stub)
+    with pytest.raises(DegreeLimitError) as info:
+        cli.build_report(cli.RunConfig("limits", n_max=2, k_max=5))
+    assert str(info.value) == "degree 40 exceeds QGL_MAX_DEGREE=30 in planned with --nmax 2 --kmax 5"
+    assert called == ["plan"]
+
+
+def test_hard_identities_are_the_hard_rows_of_the_table():
+    hard = {f.identity for sub in cli._SUBCOMMANDS.values() for f in sub.families if f.hard}
+    assert HARD_IDENTITIES == hard
+    # Promoting or demoting an identity is a deliberate edit of this list too.
+    assert hard == {
+        "warnaar", "garrett_hummel", "faulhaber", "alt_power_sum", "alt_qsum", "shift_law",
+        "q_binomial_limit", "q_power_sum_limit",
+    }
 
 
 def test_numbers_nmax_above_cap_exits_two(run_module):
@@ -1215,11 +1257,12 @@ def test_every_pinned_report_line_parses_as_argparse_reads_it():
         assert argparse_config(command.split()) == (0, cli._parse(command.split())), command
 
 
-def test_every_hard_identity_but_genocchi_relations_runs():
-    # A hard identity that no subcommand runs can never fail a run.  No
-    # subcommand emits genocchi_relations yet (ROADMAP items 2 and 20).
+def test_every_hard_identity_runs():
+    # A hard identity that no subcommand runs could never fail a run, so
+    # only a family of the table is hard.  genocchi_relations is not hard
+    # until a subcommand runs it (ROADMAP item 2).
     emitted = set()
     for command in cli._SUBCOMMANDS:
         records = cli.build_report(cli.RunConfig(command, n_max=2, k_max=2))["records"]
         emitted |= {rec.identity for rec in records}
-    assert HARD_IDENTITIES - emitted == {"genocchi_relations"}
+    assert HARD_IDENTITIES - emitted == set()

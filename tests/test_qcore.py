@@ -374,14 +374,16 @@ def test_grid_cells_match_single_cells():
     assert list(q_power_sum_cells(3, 5)) == [
         (m, n, q_power_sum(m, n).num) for m in range(1, 4) for n in range(1, 6)
     ]
-    # limits maps its checks over the same walks, binomial rows first, after
-    # both walks' degree checks, each an empty family of its walk's name.
-    *checks, (_, binomials), (_, power_sums) = cli._SUBCOMMANDS["limits"].families(
-        cli.RunConfig("limits", n_max=3, k_max=5)
+    # limits maps its checks over the same walks, binomial rows first; each
+    # family's plan makes its walk, which checks the degree cap.
+    cfg = cli.RunConfig("limits", n_max=3, k_max=5)
+    binomial_family, power_sum_family = cli._SUBCOMMANDS["limits"].families
+    assert (binomial_family.identity, power_sum_family.identity) == (
+        "q_binomial_limit", "q_power_sum_limit"
     )
-    assert [(name, list(family)) for name, family in checks] == [
-        ("q_binomial_limit", []), ("q_power_sum_limit", [])
-    ]
+    assert list(binomial_family.plan(cfg)) == list(q_binomial_cells(3))
+    assert list(power_sum_family.plan(cfg)) == list(q_power_sum_cells(3, 5))
+    binomials, power_sums = binomial_family.records(cfg), power_sum_family.records(cfg)
     assert list(binomials) == [
         q_binomial_limit_check(n, k) for n in range(4) for k in range(n + 1)
     ]

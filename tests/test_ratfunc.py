@@ -11,6 +11,7 @@ from qgenocchi.ratfunc import (
     R_ZERO,
     PoleError,
     RatFunc,
+    cyclotomic,
     evaluate_at_q,
     monomial_q,
 )
@@ -183,3 +184,12 @@ def test_canonical_invariants(a):
         from qgenocchi.poly import gcd
 
         assert gcd(a.num, a.den) == ONE
+
+
+@pytest.mark.parametrize("d", [0, -1, -2])
+def test_cyclotomic_refuses_an_index_below_one(d):
+    cyclotomic.cache_clear()
+    with pytest.raises(ValueError, match="^cyclotomic index must be >= 1$"):
+        cyclotomic(d)
+    assert cyclotomic.cache_info().currsize == 0  # nothing cached for a refused index
+    assert cyclotomic(1) == Poly([-1, 1])
